@@ -49,10 +49,10 @@ fi
 # Differential oracles under ASan/UBSan, single- and multi-threaded.
 # plan_differential_test exercises the statistics-driven planner (live
 # re-planning, seat observation buffers, the feedback-correction fold)
-# against the naive reference; stats_incremental_test is the
-# Apply-vs-Collect equivalence oracle for the merge-barrier statistics
-# maintenance (value-count maps under random delta partitions, now
-# including the retraction arm); maintenance_differential_test is the
+# against the naive reference; stats_test checks the counting pass
+# (Collect / Refresh) against a brute-force recount, and
+# plan_convergence_test pins the live planner's counters;
+# maintenance_differential_test is the
 # maintained-vs-recomputed materialization oracle for incremental view
 # maintenance (counting + DRed over randomized insert/delete schedules
 # — its from-scratch recomputations run at MONDET_THREADS, so both
@@ -70,7 +70,7 @@ fi
 # Complement+Product route, the Thm 5 antichain-on/off byte-identity
 # regression, and the antichain-inclusion oracle seed sweep.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
-cmake --build build-asan -j "$JOBS" --target eval_differential_test plan_differential_test kernel_differential_test stats_test stats_incremental_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test mondet-fuzz
+cmake --build build-asan -j "$JOBS" --target eval_differential_test plan_differential_test kernel_differential_test stats_test plan_convergence_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test mondet-fuzz
 MONDET_THREADS=1 ./build-asan/tests/eval_differential_test
 MONDET_THREADS=4 ./build-asan/tests/eval_differential_test
 ./build-asan/tests/dataflow_soundness_test
@@ -78,7 +78,7 @@ MONDET_THREADS=4 ./build-asan/tests/eval_differential_test
 MONDET_THREADS=1 ./build-asan/tests/kernel_differential_test
 MONDET_THREADS=4 ./build-asan/tests/kernel_differential_test
 ./build-asan/tests/stats_test
-./build-asan/tests/stats_incremental_test
+./build-asan/tests/plan_convergence_test
 MONDET_THREADS=1 ./build-asan/tests/maintenance_differential_test
 MONDET_THREADS=4 ./build-asan/tests/maintenance_differential_test
 MONDET_THREADS=4 ./build-asan/tests/mondet_parallel_test

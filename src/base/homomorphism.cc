@@ -6,86 +6,6 @@
 
 namespace mondet {
 
-std::vector<uint32_t> GreedyAtomOrder(
-    const std::vector<std::vector<ElemId>>& atom_vars, size_t num_vars,
-    const std::function<size_t(size_t)>& rel_size, std::vector<bool> bound) {
-  size_t n = atom_vars.size();
-  bound.resize(num_vars, false);
-  std::vector<bool> used(n, false);
-  std::vector<uint32_t> order;
-  order.reserve(n);
-  for (size_t step = 0; step < n; ++step) {
-    int best = -1;
-    int best_bound = -1;
-    size_t best_rel = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (used[i]) continue;
-      int nb = 0;
-      for (ElemId a : atom_vars[i]) nb += bound[a] ? 1 : 0;
-      size_t rel = rel_size(i);
-      if (nb > best_bound || (nb == best_bound && rel < best_rel)) {
-        best = static_cast<int>(i);
-        best_bound = nb;
-        best_rel = rel;
-      }
-    }
-    used[best] = true;
-    order.push_back(static_cast<uint32_t>(best));
-    for (ElemId a : atom_vars[best]) bound[a] = true;
-  }
-  return order;
-}
-
-std::vector<uint32_t> SelectivityAtomOrder(
-    const std::vector<std::vector<ElemId>>& atom_vars, size_t num_vars,
-    const std::function<double(size_t, const std::vector<bool>&)>& est_matches,
-    std::vector<bool> bound, std::vector<double>* est_rows) {
-  size_t n = atom_vars.size();
-  bound.resize(num_vars, false);
-  bool anything_bound =
-      std::find(bound.begin(), bound.end(), true) != bound.end();
-  std::vector<bool> used(n, false);
-  std::vector<uint32_t> order;
-  order.reserve(n);
-  if (est_rows) {
-    est_rows->clear();
-    est_rows->reserve(n);
-  }
-  double rows = 1.0;
-  for (size_t step = 0; step < n; ++step) {
-    int best = -1;
-    bool best_shares = false;
-    double best_est = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      if (used[i]) continue;
-      bool shares = atom_vars[i].empty();  // nullary atoms are filters
-      for (ElemId a : atom_vars[i]) {
-        if (bound[a]) {
-          shares = true;
-          break;
-        }
-      }
-      // Before anything is bound every pick is a scan; "shares" only
-      // separates candidates once a prefix exists.
-      if (!anything_bound) shares = true;
-      double est = est_matches(i, bound);
-      if (best < 0 || (shares && !best_shares) ||
-          (shares == best_shares && est < best_est)) {
-        best = static_cast<int>(i);
-        best_shares = shares;
-        best_est = est;
-      }
-    }
-    used[best] = true;
-    order.push_back(static_cast<uint32_t>(best));
-    rows *= best_est;
-    if (est_rows) est_rows->push_back(rows);
-    for (ElemId a : atom_vars[best]) bound[a] = true;
-    if (!atom_vars[best].empty()) anything_bound = true;
-  }
-  return order;
-}
-
 HomSearch::HomSearch(const Instance& pattern, const Instance& target)
     : pattern_(pattern),
       target_(target),

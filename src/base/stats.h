@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "base/instance.h"
@@ -15,28 +13,9 @@ namespace mondet {
 struct PredicateStats {
   size_t cardinality = 0;        // number of facts
   std::vector<size_t> distinct;  // distinct values at each position
-  // Exact per-position value multiplicities, the state that makes
-  // Stats::Apply O(delta). Counts (not just a set) so the structure stays
-  // correct if a future caller ever retracts facts; today's callers are
-  // insert-only.
-  //
-  // Materialized lazily: CountPred leaves the maps empty and keeps the
-  // sorted column snapshot instead; the first Apply touching the
-  // predicate rebuilds the maps from the snapshot (EnsureMaps), after
-  // which distinct[pos] == value_counts[pos].size() holds and is
-  // maintained incrementally. Predicates that never see a delta — every
-  // EDB relation of a fixpoint run — never pay the per-value map nodes,
-  // which is most of Collect's cost on the µs-scale evals the checker's
-  // canonical-test loops issue.
-  std::vector<std::unordered_map<ElemId, uint32_t>> value_counts;
-  // Per-position sorted column snapshot backing the lazy maps; cleared
-  // once EnsureMaps runs. maps_built is true for default-constructed
-  // stats (empty maps match an empty relation).
-  std::vector<std::vector<ElemId>> sorted_vals;
-  bool maps_built = true;
   // Feedback correction factor (see Stats::Observe), multiplied into
   // EstimateMatches. 1.0 = no observations yet. Survives recounts:
-  // Refresh/Apply update the counts, not the learned selectivity error.
+  // Refresh updates the counts, not the learned selectivity error.
   double correction = 1.0;
   // Per-position correction factors (see the masked Stats::Observe):
   // pos_correction[i] scales every estimate whose probe binds position i,
@@ -54,10 +33,10 @@ struct PredicateStats {
 /// Statistics are a snapshot: evaluating a program on an instance that has
 /// since grown (or on a different instance entirely) is still *correct* —
 /// stale stats can only produce slower join orders, never wrong results.
-/// During a fixpoint run the snapshot is kept exact at O(delta) cost by
-/// Apply, which folds the merge barrier's newly-added facts into the
-/// counts; Refresh (a full recount of chosen predicates) remains for
-/// callers without a delta stream (see docs/EVALUATION.md).
+/// Collect and Refresh count in one O(facts · arity) pass and keep no
+/// per-value state, so a snapshot is just the counts; the evaluator
+/// recounts the relations that grew at each planning point instead of
+/// maintaining the counts fact by fact (see docs/EVALUATION.md).
 ///
 /// On top of the exact counts sits a feedback layer: Observe folds a
 /// measured-vs-estimated row ratio into a damped per-predicate correction
@@ -76,36 +55,6 @@ class Stats {
   /// Recounts just the given predicates from `inst`, leaving the rest of
   /// the snapshot (and all correction factors) untouched.
   void Refresh(const Instance& inst, const std::vector<PredId>& preds);
-
-  /// Folds newly-added facts into the counts in O(|added| · arity): the
-  /// exact-maintenance path of the evaluator's merge barrier. The contract
-  /// is insert-only growth of the *counted* instance: this snapshot covered
-  /// every fact of `inst` except exactly the facts of `added` (which
-  /// `Instance::AddFact` has already deduplicated). Feeding a delta from a
-  /// different instance — or one containing already-counted facts — is a
-  /// programming error, caught by a fact-count MONDET_CHECK.
-  void Apply(const Instance& inst, std::span<const Fact> added);
-
-  /// Same insert-only fold, but the delta is given as global fact ids into
-  /// `inst` (what the evaluator's merge barrier holds) — no Fact
-  /// materialization, the columnar rows are read in place.
-  void Apply(const Instance& inst, std::span<const uint32_t> added_gids);
-
-  /// Deletion-aware variant: folds `added` in and `removed` out, in
-  /// O((|added| + |removed|) · arity). The contract generalizes the
-  /// insert-only one: this snapshot covered exactly
-  /// (facts of `inst`) ∖ added ∪ removed, with `added` and `removed`
-  /// disjoint sets of genuinely applied mutations (Instance::AddFact /
-  /// RemoveFact both report whether they changed the instance). Removing
-  /// a fact this snapshot never counted — including a double-delete —
-  /// breaks the equation or a per-value multiplicity and aborts.
-  void Apply(const Instance& inst, std::span<const Fact> added,
-             std::span<const Fact> removed);
-
-  /// Total facts this snapshot has counted (sum of cardinalities). Equals
-  /// inst.num_facts() whenever the snapshot is current for `inst`; the
-  /// Apply contract check is phrased in terms of this.
-  size_t counted_facts() const { return counted_facts_; }
 
   size_t cardinality(PredId p) const {
     return p < by_pred_.size() ? by_pred_[p].cardinality : 0;
@@ -176,13 +125,14 @@ class Stats {
                          const std::vector<bool>& bound_var) const;
 
  private:
-  void CountPred(const Instance& inst, PredId p);
-  /// Materializes `ps.value_counts` from the sorted snapshot CountPred
-  /// left behind (see PredicateStats::sorted_vals). Idempotent.
-  static void EnsureMaps(PredicateStats& ps);
+  /// Recounts `p`: its cardinality, then one pass per position that
+  /// counts first sightings in `stamp`, the caller's scratch array indexed
+  /// by ElemId (grown to the largest id counted). Each column takes a
+  /// fresh `epoch` value, so the array is never cleared between columns.
+  void CountPred(const Instance& inst, PredId p, std::vector<uint32_t>& stamp,
+                 uint32_t& epoch);
 
   std::vector<PredicateStats> by_pred_;
-  size_t counted_facts_ = 0;
 };
 
 }  // namespace mondet

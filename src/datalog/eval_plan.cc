@@ -26,7 +26,6 @@ void EvalStats::Accumulate(const EvalStats& other) {
   join_probes += other.join_probes;
   replans += other.replans;
   rules_pruned += other.rules_pruned;
-  stats_applies += other.stats_applies;
   stats_facts_counted += other.stats_facts_counted;
   corrections_active = std::max(corrections_active, other.corrections_active);
   wall_seconds += other.wall_seconds;
@@ -42,8 +41,7 @@ std::string EvalStats::Summary() const {
   }
   os << " probes=" << join_probes << " replans=" << replans;
   if (rules_pruned > 0) os << " pruned=" << rules_pruned;
-  os << " stats_applies=" << stats_applies
-     << " stats_counted=" << stats_facts_counted
+  os << " stats_counted=" << stats_facts_counted
      << " corrections=" << corrections_active
      << " strata=" << strata.size() << " wall_ms=" << wall_seconds * 1000.0;
   return os.str();
@@ -388,10 +386,9 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
   // from the evolving result and re-plan as relations grow; a snapshot
   // plans every stratum once (stale-tolerant); with the planner off —
   // or on an input too small for planning to pay for itself — the
-  // compile-time orders run as-is. Live statistics are maintained
-  // incrementally by default: each merge barrier folds its added facts
-  // into the snapshot (Stats::Apply, O(delta)), so the counts are exact
-  // everywhere and no per-stratum recount runs.
+  // compile-time orders run as-is. Live statistics are recounted at each
+  // planning point (stratum entry, re-plan), so every plan reads exact
+  // counts.
   const bool use_stats =
       options.stats_planner &&
       (options.stats != nullptr ||
@@ -413,7 +410,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       (options.kernel_min_facts == 0 ||
        input.num_facts() >= plans_.size() * 4);
   const bool live_stats = use_stats && options.stats == nullptr;
-  const bool incremental = live_stats && options.stats_incremental;
   // Feedback needs measurements (plan_stats) and a mutable model (live
   // planning); with both, measured-vs-estimated row ratios fold into
   // per-predicate correction factors at every re-plan and stratum close.
@@ -465,20 +461,25 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       }
     }
     ss->facts_derived += added.size();
-    if (incremental) {
-      // The merge barrier is the one place facts enter `result`, so
-      // applying each round's delta keeps the live counts exact for the
-      // whole run at O(delta) cost.
-      live.Apply(result, added);
-      ++ss->stats_applies;
-      ss->stats_facts_counted += added.size();
-    }
     return added;
   };
 
+  // Recounts the live statistics of those `preds` that grew since they
+  // were last counted. `result` only ever grows, so an unchanged row count
+  // means an unchanged relation and its counts are still exact.
+  auto recount = [&](const std::vector<PredId>& preds, StratumStats* ss) {
+    std::vector<PredId> stale;
+    for (PredId p : preds) {
+      if (result.NumRows(p) != live.cardinality(p)) {
+        stale.push_back(p);
+        ss->stats_facts_counted += result.NumRows(p);
+      }
+    }
+    if (!stale.empty()) live.Refresh(result, stale);
+  };
+
   // Preds of the previous stratum, whose live counts go stale on entry to
-  // the next one — only on the recount path; incremental maintenance
-  // keeps every count exact at the merge barrier.
+  // the next one.
   std::vector<PredId> prev_preds;
 
   for (const Stratum& stratum : strata_) {
@@ -487,12 +488,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     std::vector<PredId> stratum_preds(stratum.preds.begin(),
                                       stratum.preds.end());
     std::sort(stratum_preds.begin(), stratum_preds.end());
-    if (live_stats && !incremental && !prev_preds.empty()) {
-      for (PredId p : prev_preds) {
-        ss.stats_facts_counted += result.NumRows(p);
-      }
-      live.Refresh(result, prev_preds);
-    }
+    if (live_stats) recount(prev_preds, &ss);
 
     // The join orders this stratum runs with: per (plan-in-stratum, seat),
     // seat 0 = the initial full join, seat 1 + i = recursive atom i.
@@ -648,12 +644,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
         }
         if (replan) {
           fold_feedback();
-          if (!incremental) {
-            for (PredId p : stratum_preds) {
-              ss.stats_facts_counted += result.NumRows(p);
-            }
-            live.Refresh(result, stratum_preds);
-          }
+          recount(stratum_preds, &ss);
           plan_seats(false);
           for (auto& [p, card] : planned_card) {
             card = result.NumRows(p);
@@ -723,7 +714,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     run.facts_derived += ss.facts_derived;
     run.join_probes += ss.join_probes;
     run.replans += ss.replans;
-    run.stats_applies += ss.stats_applies;
     run.stats_facts_counted += ss.stats_facts_counted;
     run.strata.push_back(std::move(ss));
     prev_preds = std::move(stratum_preds);
@@ -838,10 +828,10 @@ bool CompiledProgram::MatchAtoms(
   return true;
 }
 
-Materialization CompiledProgram::Materialize(const Instance& input,
-                                             EvalStats* stats,
-                                             const EvalOptions& options) const {
-  Materialization m{Eval(input, stats, options), Stats()};
+Instance CompiledProgram::Materialize(const Instance& input,
+                                      EvalStats* stats,
+                                      const EvalOptions& options) const {
+  Instance m = Eval(input, stats, options);
   const ChangeMap no_changes;
   // A rule dead under the input-seeded abstract fixpoint matches nothing
   // in the concrete fixpoint either, so skipping its counting pass leaves
@@ -862,7 +852,7 @@ Materialization CompiledProgram::Materialize(const Instance& input,
       const RulePlan& plan = plans_[pi];
       std::vector<uint8_t> read_old(plan.body.size(), 0);
       std::vector<ElemId> map(plan.num_vars, kNoElem);
-      MatchAtoms(plan, /*seat=*/-1, 0, read_old, m.inst, no_changes, map,
+      MatchAtoms(plan, /*seat=*/-1, 0, read_old, m, no_changes, map,
                  [&](const std::vector<ElemId>& mm) {
                    std::vector<ElemId> args;
                    args.reserve(plan.head.args.size());
@@ -874,29 +864,27 @@ Materialization CompiledProgram::Materialize(const Instance& input,
     std::vector<PredId> preds(st.preds.begin(), st.preds.end());
     std::sort(preds.begin(), preds.end());
     for (PredId p : preds) {
-      const uint32_t n = m.inst.NumRows(p);
+      const uint32_t n = m.NumRows(p);
       for (uint32_t row = 0; row < n; ++row) {
-        const std::span<const ElemId> args = m.inst.Args(p, row);
+        const std::span<const ElemId> args = m.Args(p, row);
         const Fact f(p, std::vector<ElemId>(args.begin(), args.end()));
         auto it = dc.find(f);
         uint64_t c = (it != dc.end() ? it->second : 0) +
                      (input.HasFact(f) ? 1 : 0);
         // Every fixpoint fact has base membership or a rule derivation.
         MONDET_CHECK(c > 0 && "Materialize: unsupported fixpoint fact");
-        m.inst.SetCountAt(p, row, c);
+        m.SetCountAt(p, row, c);
       }
     }
   }
-  m.stats = Stats::Collect(m.inst);
   return m;
 }
 
-MaintainResult CompiledProgram::Maintain(Materialization& m,
+MaintainResult CompiledProgram::Maintain(Instance& inst,
                                          const Instance& base,
                                          const FactDelta& delta,
                                          EvalStats* stats) const {
   auto t_start = std::chrono::steady_clock::now();
-  Instance& inst = m.inst;
   inst.EnsureElements(base.num_elements());
   MaintainResult res;
   ChangeMap changed;
@@ -961,9 +949,6 @@ MaintainResult CompiledProgram::Maintain(Materialization& m,
     }
   }
 
-  // One statistics fold for the whole batch: the recorded lists are the
-  // exact net membership changes, so Apply's contract equation holds.
-  m.stats.Apply(inst, res.inserts, res.deletes);
   if (stats) {
     EvalStats run;
     run.iterations = 1;
@@ -971,8 +956,6 @@ MaintainResult CompiledProgram::Maintain(Materialization& m,
     run.facts_retracted = res.deletes.size();
     run.overdeleted = res.overdeleted;
     run.rederived = res.rederived;
-    run.stats_applies = 1;
-    run.stats_facts_counted = res.inserts.size() + res.deletes.size();
     run.wall_seconds = SecondsSince(t_start);
     stats->Accumulate(run);
   }

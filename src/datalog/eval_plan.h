@@ -26,30 +26,23 @@ struct EvalOptions {
   int num_threads = 0;
   /// Statistics-driven join planning (the default): score join orders by
   /// estimated selectivity from per-predicate statistics — `stats` when
-  /// set, otherwise statistics collected live from the evolving result,
-  /// re-planned per stratum as the relations grow (docs/EVALUATION.md
-  /// documents the cost model). When false, Eval runs the compile-time
-  /// orders: EDB-first greedy, or the orders fixed by BindStats.
+  /// set, otherwise statistics counted live from the evolving result,
+  /// recounted and re-planned at each stratum entry and whenever a
+  /// stratum relation doubles (docs/EVALUATION.md documents the cost
+  /// model). When false, Eval runs the compile-time orders: EDB-first
+  /// greedy, or the orders fixed by BindStats.
   bool stats_planner = true;
   /// Plan from this (possibly stale) snapshot instead of collecting live
   /// statistics; suppresses in-run re-planning. Stale stats can only
   /// produce slower orders, never wrong results. Ignored when
   /// stats_planner is false. Not owned; must outlive the Eval call.
   const Stats* stats = nullptr;
-  /// Maintain the live statistics incrementally: every merge barrier folds
-  /// its newly-added facts into the snapshot via Stats::Apply (O(delta)),
-  /// so the counts are exact at every re-plan and no per-stratum recount
-  /// ever runs. When false, Eval falls back to the recount discipline
-  /// (Stats::Refresh of the stale predicates per stratum / re-plan) —
-  /// kept for the incremental-vs-recount bench comparison.
-  bool stats_incremental = true;
   /// The planner's own cost gate: below this many input facts, planning
-  /// cannot pay for itself, so Eval runs the compile-time orders. Even
-  /// with incremental maintenance the per-run cost — one Collect with a
-  /// sort per column plus a SelectivityAtomOrder pass per rule — takes
-  /// tens of µs, which dominates a µs-scale eval outright (the checker's
-  /// canonical-test loops issue thousands of those), so the gate sits at
-  /// 64 facts. Set to 0 to force live planning on any input (the
+  /// cannot pay for itself, so Eval runs the compile-time orders. The
+  /// per-run cost — a Collect plus a SelectivityAtomOrder pass per rule
+  /// seat at every planning point — would dominate a µs-scale eval
+  /// outright (the checker's canonical-test loops issue thousands of
+  /// those), so the gate sits at 64 facts. Set to 0 to force live planning on any input (the
   /// differential and convergence tests do); a caller-supplied `stats`
   /// snapshot bypasses the gate.
   size_t stats_min_facts = 64;
@@ -135,10 +128,9 @@ struct StratumStats {
   size_t facts_derived = 0;  // new facts this stratum added
   size_t join_probes = 0;    // candidate facts scanned by index joins
   size_t replans = 0;        // mid-stratum join-order recomputations
-  size_t stats_applies = 0;  // merge barriers folded in via Stats::Apply
-  // Facts the statistics machinery touched this stratum: delta sizes on
-  // the incremental path, full per-predicate row counts per recount on
-  // the Refresh path. The O(stratum facts) -> O(delta) drop shows here.
+  // Rows the live statistics recounted this stratum (Stats::Refresh at
+  // stratum entry and at each re-plan); the initial Collect is not
+  // included.
   size_t stats_facts_counted = 0;
   double wall_seconds = 0;
   std::vector<JoinSeatStats> seats;  // only with EvalOptions::plan_stats
@@ -158,7 +150,6 @@ struct EvalStats {
   size_t join_probes = 0;
   size_t replans = 0;
   size_t rules_pruned = 0;  // rules skipped by EvalOptions::dataflow_prune
-  size_t stats_applies = 0;        // sum over strata (see StratumStats)
   size_t stats_facts_counted = 0;  // sum over strata (see StratumStats)
   // Predicates whose feedback correction factor ended the run away from
   // 1.0 (Stats::ActiveCorrections of the planning statistics). Accumulate
@@ -191,17 +182,6 @@ struct FactDelta {
   std::vector<Fact> deletes;
 
   bool empty() const { return inserts.empty() && deletes.empty(); }
-};
-
-/// A maintained fixpoint: FPEval(Π, base) with per-fact derivation counts
-/// (Instance::FactCount) plus exact planner statistics of that instance.
-/// Produced by Materialize, updated in place by Maintain; the invariant —
-/// `inst` bit-identical (as a fact set, with counts and statistics) to a
-/// fresh Materialize of the current base — is the maintenance engine's
-/// headline correctness contract (tests/maintenance_differential_test.cc).
-struct Materialization {
-  Instance inst;
-  Stats stats;
 };
 
 /// Outcome of one Maintain call: the net membership changes of the
@@ -254,26 +234,27 @@ class CompiledProgram {
 
   /// Eval plus derivation counting: the fixpoint of `input` whose facts
   /// carry exact derivation counts (number of rule derivations, plus one
-  /// for base membership) for every non-recursive stratum, and exact
-  /// statistics. Facts of recursive SCC strata keep count 1 — counting is
+  /// for base membership, Instance::FactCount) for every non-recursive
+  /// stratum. Facts of recursive SCC strata keep count 1 — counting is
   /// unsound under recursion (a fact may support itself), which is
   /// exactly why Maintain switches to DRed there.
-  Materialization Materialize(const Instance& input,
-                              EvalStats* stats = nullptr,
-                              const EvalOptions& options = {}) const;
+  Instance Materialize(const Instance& input, EvalStats* stats = nullptr,
+                       const EvalOptions& options = {}) const;
 
   /// Incremental view maintenance: updates `m` in place so it equals
   /// Materialize(base) for the *new* base, given that it equaled
-  /// Materialize of the old base. `base` is the already-mutated new base
+  /// Materialize of the old base — as a fact set, with derivation counts
+  /// (the engine's headline correctness contract,
+  /// tests/maintenance_differential_test.cc). `base` is the already-mutated new base
   /// instance; `delta` lists its exact membership changes (see FactDelta).
   /// Non-recursive strata are maintained by counting (the ordered-delta
   /// join formula adjusts derivation counts; membership follows count
   /// zero-crossings), recursive SCC strata by delete-rederive (DRed):
   /// overdelete over the old state, remove, rederive survivors, then
   /// semi-naive insertion. Single-threaded and deterministic: the same
-  /// schedule always yields the same instance, counts, and statistics.
+  /// schedule always yields the same instance and counts.
   /// When `stats` is non-null the call's counters accumulate into it.
-  MaintainResult Maintain(Materialization& m, const Instance& base,
+  MaintainResult Maintain(Instance& m, const Instance& base,
                           const FactDelta& delta,
                           EvalStats* stats = nullptr) const;
 

@@ -1,10 +1,13 @@
 #include "testing/corpus.h"
 
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/diagnostic.h"
 #include "base/check.h"
 #include "datalog/parser.h"
 #include "testing/describe.h"
@@ -72,8 +75,64 @@ bool ParseFactBody(const std::string& text, const VocabularyPtr& vocab,
 
 struct Section {
   std::string header;  // inside the brackets, e.g. "view VA1"
+  int line = 0;        // 1-based file line of the header
   std::vector<std::string> lines;
 };
+
+/// Where a `[view]` section sits in the file: its header line and the
+/// position of the goal name (0 for atomic views).
+struct ViewPos {
+  int header_line = 0;
+  int goal_line = 0;
+  int goal_col = 0;
+};
+
+/// Builds view `spec` the way BuildViews will, but only in `vocab` (a
+/// scratch copy shared by all views of the case, so earlier views' names
+/// are visible): the query text must parse and define its goal, and the
+/// view name must not already name a predicate of a different arity.
+/// Returns the failure as a formatted diagnostic positioned in the file —
+/// parser positions are moved from the view text, which starts right
+/// below the goal line, and a failure without a parser position points
+/// at the goal name or at the section header.
+std::optional<std::string> ViewError(const ViewSpec& spec,
+                                     const VocabularyPtr& vocab,
+                                     const ViewPos& pos) {
+  int arity = 0;
+  if (spec.atomic_base != kNoPred) {
+    arity = vocab->arity(spec.atomic_base);
+  } else {
+    std::vector<Diagnostic> diags;
+    std::optional<DatalogQuery> query =
+        ParseQuery(spec.text, spec.goal, vocab, &diags);
+    if (!query.has_value()) {
+      Diagnostic d = diags.empty() ? MakeDiagnostic(Severity::kError, "parse",
+                                                    "view does not parse")
+                                   : diags.front();
+      if (d.loc.line > 0) {
+        d.loc.line += pos.goal_line;
+      } else {
+        d.loc.line = pos.goal_line;
+        d.loc.col = pos.goal_col;
+      }
+      return FormatDiagnostic(d);
+    }
+    arity = query->arity();
+  }
+  std::optional<PredId> existing = vocab->FindPredicate(spec.name);
+  if (existing.has_value() && vocab->arity(*existing) != arity) {
+    SourceLoc loc;
+    loc.line = pos.header_line;
+    loc.col = 1;
+    return FormatDiagnostic(MakeDiagnostic(
+        Severity::kError, "view-name",
+        "view name " + spec.name + " already names a predicate of arity " +
+            std::to_string(vocab->arity(*existing)),
+        loc));
+  }
+  vocab->AddPredicate(spec.name, arity);
+  return std::nullopt;
+}
 
 /// The corpus NTA format covers exactly the antichain oracle's automaton
 /// family (RandomNta and its shrinks): width-1 automata over the two-label
@@ -159,10 +218,13 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
   {
     std::istringstream in(text);
     std::string line;
+    int line_no = 0;
     while (std::getline(in, line)) {
+      ++line_no;
       std::string t = Trim(line);
       if (!t.empty() && t.front() == '[' && t.back() == ']') {
-        sections.push_back(Section{Trim(t.substr(1, t.size() - 2)), {}});
+        sections.push_back(
+            Section{Trim(t.substr(1, t.size() - 2)), line_no, {}});
       } else if (!sections.empty()) {
         sections.back().lines.push_back(line);
       } else if (!t.empty()) {
@@ -200,6 +262,7 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
   if (!known_profile) return fail("unknown profile `" + profile_name + "`");
   c.profile = ProfileByName(profile_name);
 
+  std::vector<ViewPos> view_pos;  // aligned with c.views
   for (const Section& sec : sections) {
     std::string body;
     for (const std::string& l : sec.lines) body += l + "\n";
@@ -268,7 +331,10 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
       spec.name = Trim(sec.header.substr(5));
       if (spec.name.empty()) return fail("view section without a name");
       bool have_kind = false;
-      for (const std::string& raw : sec.lines) {
+      ViewPos pos;
+      pos.header_line = sec.line;
+      for (size_t li = 0; li < sec.lines.size(); ++li) {
+        const std::string& raw = sec.lines[li];
         std::string t = Trim(raw);
         if (!have_kind) {
           if (t.empty()) continue;
@@ -283,6 +349,9 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
             spec.atomic_base = *pred;
           } else if (t.rfind("goal ", 0) == 0) {
             spec.goal = Trim(t.substr(5));
+            pos.goal_line = sec.line + 1 + static_cast<int>(li);
+            pos.goal_col = static_cast<int>(
+                raw.find(spec.goal, raw.find("goal ") + 5) + 1);
           } else {
             return fail("view " + spec.name +
                         ": expected `atomic <Pred>` or `goal <G>`");
@@ -294,6 +363,7 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
       }
       if (!have_kind) return fail("view " + spec.name + ": empty section");
       c.views.push_back(std::move(spec));
+      view_pos.push_back(pos);
     } else if (sec.header == "tm") {
       TmCase tc;
       for (const std::string& raw : sec.lines) {
@@ -427,6 +497,17 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
       }
     } else {
       return fail("unknown section `[" + sec.header + "]`");
+    }
+  }
+  // Replay builds the views with BuildViews, which aborts on a view it
+  // cannot build, so reject those here — in file order, after the
+  // program has interned its predicates, as BuildViews will see them.
+  if (!c.views.empty()) {
+    auto scratch = std::make_shared<Vocabulary>(*c.profile.vocab);
+    for (size_t i = 0; i < c.views.size(); ++i) {
+      if (auto err = ViewError(c.views[i], scratch, view_pos[i])) {
+        return fail("view " + c.views[i].name + ": " + *err);
+      }
     }
   }
   return c;

@@ -411,44 +411,29 @@ class KernelOracle : public Oracle {
 // threads) after every prefix of the raw insert/delete schedule.
 
 /// The bit-identical contract: same elements, same fact set, same
-/// derivation count per fact, same statistics.
-std::optional<std::string> DiffMaterializations(const Materialization& got,
-                                                const Materialization& want,
-                                                const VocabularyPtr& vocab,
+/// derivation count per fact.
+std::optional<std::string> DiffMaterializations(const Instance& got,
+                                                const Instance& want,
                                                 const std::string& tag) {
-  if (got.inst.num_elements() != want.inst.num_elements()) {
+  if (got.num_elements() != want.num_elements()) {
     return tag + ": element counts differ";
   }
-  if (got.inst.num_facts() != want.inst.num_facts()) {
+  if (got.num_facts() != want.num_facts()) {
     return tag + ": fact counts differ (" +
-           std::to_string(got.inst.num_facts()) + " vs " +
-           std::to_string(want.inst.num_facts()) + ")";
+           std::to_string(got.num_facts()) + " vs " +
+           std::to_string(want.num_facts()) + ")";
   }
-  std::vector<Fact> gf = got.inst.AllFacts(), wf = want.inst.AllFacts();
+  std::vector<Fact> gf = got.AllFacts(), wf = want.AllFacts();
   std::sort(gf.begin(), gf.end());
   std::sort(wf.begin(), wf.end());
   for (size_t i = 0; i < gf.size(); ++i) {
     if (!(gf[i] == wf[i])) {
       return tag + ": sorted fact " + std::to_string(i) + " differs";
     }
-    if (got.inst.FactCount(gf[i]) != want.inst.FactCount(wf[i])) {
-      return tag + ": derivation count of " + FactToString(want.inst, wf[i]) +
-             " differs (" + std::to_string(got.inst.FactCount(gf[i])) +
-             " vs " + std::to_string(want.inst.FactCount(wf[i])) + ")";
-    }
-  }
-  if (got.stats.counted_facts() != want.stats.counted_facts()) {
-    return tag + ": stats counted_facts differ";
-  }
-  for (PredId p : vocab->AllPredicates()) {
-    if (got.stats.cardinality(p) != want.stats.cardinality(p)) {
-      return tag + ": cardinality of " + vocab->name(p) + " differs";
-    }
-    for (int i = 0; i < vocab->arity(p); ++i) {
-      if (got.stats.distinct(p, i) != want.stats.distinct(p, i)) {
-        return tag + ": distinct(" + vocab->name(p) + ", " +
-               std::to_string(i) + ") differs";
-      }
+    if (got.FactCount(gf[i]) != want.FactCount(wf[i])) {
+      return tag + ": derivation count of " + FactToString(want, wf[i]) +
+             " differs (" + std::to_string(got.FactCount(gf[i])) +
+             " vs " + std::to_string(want.FactCount(wf[i])) + ")";
     }
   }
   return std::nullopt;
@@ -490,9 +475,9 @@ class MaintenanceOracle : public Oracle {
     opt4.num_threads = 0;
     opt4.stats_min_facts = 0;
 
-    Materialization m = compiled.Materialize(base, nullptr, opt1);
+    Instance m = compiled.Materialize(base, nullptr, opt1);
     if (auto d = DiffMaterializations(
-            m, compiled.Materialize(base, nullptr, opt4), c.profile.vocab,
+            m, compiled.Materialize(base, nullptr, opt4),
             "t0 1T vs envT")) {
       return Fail(c, *d);
     }
@@ -506,12 +491,12 @@ class MaintenanceOracle : public Oracle {
 
       const std::string tag = "step " + std::to_string(step);
       if (auto d = DiffMaterializations(
-              m, compiled.Materialize(base, nullptr, opt1), c.profile.vocab,
+              m, compiled.Materialize(base, nullptr, opt1),
               tag + " (vs 1T recompute)")) {
         return Fail(c, *d);
       }
       if (auto d = DiffMaterializations(
-              m, compiled.Materialize(base, nullptr, opt4), c.profile.vocab,
+              m, compiled.Materialize(base, nullptr, opt4),
               tag + " (vs envT recompute)")) {
         return Fail(c, *d);
       }

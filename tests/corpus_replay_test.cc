@@ -4,12 +4,16 @@
 // format, so drift here silently breaks `mondet-fuzz --replay` of old
 // artifacts). A generative arm additionally round-trips fresh cases from
 // every oracle through ParseCaseText and re-checks them, so corpus
-// coverage does not depend on which files happen to be curated.
+// coverage does not depend on which files happen to be curated. The
+// `.repro` files under tests/corpus/malformed/ must each be rejected at
+// load time with a positioned diagnostic (replay then exits 2 instead of
+// aborting while it builds the views).
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,10 +28,10 @@
 namespace mondet {
 namespace {
 
-std::vector<std::string> CorpusFiles() {
+std::vector<std::string> CorpusFiles(const std::string& subdir = "cases") {
   std::vector<std::string> files;
   const std::filesystem::path dir =
-      std::filesystem::path(MONDET_CORPUS_DIR) / "cases";
+      std::filesystem::path(MONDET_CORPUS_DIR) / subdir;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() == ".repro") {
       files.push_back(entry.path().string());
@@ -69,6 +73,27 @@ TEST(CorpusReplay, SerializationRoundTripsByteExact) {
     EXPECT_EQ(testing::SerializeCase(*c), Slurp(file))
         << file << " does not round-trip; regenerate it with mondet-fuzz "
         << "or align the serializer";
+  }
+}
+
+TEST(CorpusReplay, MalformedViewSectionsAreRejectedWithPosition) {
+  const std::map<std::string, std::string> want = {
+      {"view-bad-rule.repro",
+       "view VReach: error[parse] line 12:23: expected ',' or ')'"},
+      {"view-name-clash.repro",
+       "view E2: error[view-name] line 9:1: view name E2 already names a "
+       "predicate of arity 2"},
+      {"view-undefined-goal.repro",
+       "view VReach: error[goal] line 10:6: goal predicate VX has no rules"},
+  };
+  const std::vector<std::string> files = CorpusFiles("malformed");
+  ASSERT_EQ(files.size(), want.size());
+  for (const std::string& file : files) {
+    const std::string name = std::filesystem::path(file).filename().string();
+    ASSERT_TRUE(want.count(name)) << "unexpected malformed case " << name;
+    std::string error;
+    EXPECT_FALSE(testing::LoadCaseFile(file, &error).has_value()) << name;
+    EXPECT_EQ(error, want.at(name));
   }
 }
 
