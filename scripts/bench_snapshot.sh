@@ -2,7 +2,9 @@
 # Perf trajectory snapshot: run the tier-1 bench smoke set, then capture
 # the Table 2 families (including the MONDET_THREADS sweeps) as JSON in
 # BENCH_table2.json at the repo root, so future PRs can diff wall times
-# and counters (tests, cache_hits, transition_visits) against this one.
+# and counters (tests, transition_visits) against this one. The merged
+# JSON's context records nproc and MONDET_THREADS ("unset" when the
+# variable is not set, i.e. hardware concurrency).
 #
 #   BENCH_MIN_TIME  per-benchmark min time in seconds (default 0.05; the
 #                   smoke pass always uses the tier-1 value of 0.01)
@@ -55,8 +57,11 @@ done
 if command -v python3 > /dev/null 2>&1; then
   python3 - <<'EOF'
 import json
+import os
 with open("BENCH_table2.json") as f:
     table2 = json.load(f)
+table2["context"]["nproc"] = len(os.sched_getaffinity(0))
+table2["context"]["MONDET_THREADS"] = os.environ.get("MONDET_THREADS", "unset")
 extra = []
 for path, prefixes in [
     ("BENCH_fig4_rowfamily.json", ("BM_Fig4_RowFamilyEval",)),

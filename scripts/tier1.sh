@@ -48,9 +48,9 @@ fi
 
 # Differential oracles under ASan/UBSan, single- and multi-threaded.
 # plan_differential_test exercises the statistics-driven planner (live
-# re-planning, seat observation buffers, the feedback-correction fold)
-# against the naive reference; stats_test checks the counting pass
-# (Collect / Refresh) against a brute-force recount, and
+# re-planning, seat observation buffers) against the naive reference;
+# stats_test checks the counting pass (Collect / Refresh) against a
+# brute-force recount, and
 # plan_convergence_test pins the live planner's counters;
 # maintenance_differential_test is the
 # maintained-vs-recomputed materialization oracle for incremental view
@@ -58,7 +58,7 @@ fi
 # — its from-scratch recomputations run at MONDET_THREADS, so both
 # parallel modes cross-check the maintained state);
 # mondet_parallel_test is the determinism oracle for the parallel
-# counterexample search (thread pool + canonical test cache), run at 4
+# counterexample search (thread pool, 1 vs 4 workers), run at 4
 # workers so the sanitizers see real interleaving;
 # dataflow_soundness_test is the abstract-interpretation soundness
 # oracle (concrete fixpoint contained in the abstract one, dead rules

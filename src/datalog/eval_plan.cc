@@ -27,7 +27,6 @@ void EvalStats::Accumulate(const EvalStats& other) {
   replans += other.replans;
   rules_pruned += other.rules_pruned;
   stats_facts_counted += other.stats_facts_counted;
-  corrections_active = std::max(corrections_active, other.corrections_active);
   wall_seconds += other.wall_seconds;
   strata.insert(strata.end(), other.strata.begin(), other.strata.end());
 }
@@ -42,7 +41,6 @@ std::string EvalStats::Summary() const {
   os << " probes=" << join_probes << " replans=" << replans;
   if (rules_pruned > 0) os << " pruned=" << rules_pruned;
   os << " stats_counted=" << stats_facts_counted
-     << " corrections=" << corrections_active
      << " strata=" << strata.size() << " wall_ms=" << wall_seconds * 1000.0;
   return os.str();
 }
@@ -232,20 +230,6 @@ std::string CompiledProgram::DescribePlansText() const {
     }
     os << "\n";
   }
-  if (bound_stats_ && bound_stats_->ActiveCorrections() > 0) {
-    os << "corrections:";
-    for (PredId p = 0; p < vocab.size(); ++p) {
-      double c = bound_stats_->correction(p);
-      if (c != 1.0) os << " " << vocab.name(p) << " x" << FormatEst(c);
-      for (int pos = 0; pos < vocab.arity(p); ++pos) {
-        double pcv = bound_stats_->pos_correction(p, static_cast<size_t>(pos));
-        if (pcv != 1.0) {
-          os << " " << vocab.name(p) << "[" << pos << "] x" << FormatEst(pcv);
-        }
-      }
-    }
-    os << "\n";
-  }
   return os.str();
 }
 
@@ -410,18 +394,8 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       (options.kernel_min_facts == 0 ||
        input.num_facts() >= plans_.size() * 4);
   const bool live_stats = use_stats && options.stats == nullptr;
-  // Feedback needs measurements (plan_stats) and a mutable model (live
-  // planning); with both, measured-vs-estimated row ratios fold into
-  // per-predicate correction factors at every re-plan and stratum close.
-  const bool feedback_on =
-      live_stats && options.plan_stats && options.plan_feedback;
   Stats live;
-  if (live_stats) {
-    live = Stats::Collect(result);
-    if (feedback_on && options.feedback) {
-      live.ImportCorrections(*options.feedback);
-    }
-  }
+  if (live_stats) live = Stats::Collect(result);
   const Stats* planning =
       use_stats ? (options.stats ? options.stats : &live) : nullptr;
 
@@ -557,45 +531,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       return sp.kernel_state == 1 ? &sp.kernel : nullptr;
     };
 
-    // Feedback: compare each executed seat's per-step fanout against the
-    // estimate it was planned under and fold the ratio into the stepped
-    // atom's predicate correction (Stats::Observe). Estimates are per
-    // seeding while the measured counters sum over seedings, so step 0
-    // normalizes by the seeding count and later steps use the previous
-    // step's rows as the denominator (which cancels it). Runs before
-    // every re-plan (counters reset with the new order) and at stratum
-    // close, so later plans in this very run see the corrections.
-    auto fold_feedback = [&] {
-      if (!feedback_on) return;
-      for (size_t k = 0; k < stratum.plans.size(); ++k) {
-        const RulePlan& plan = plans_[stratum.plans[k]];
-        for (size_t s = 0; s < seats[k].size(); ++s) {
-          SeatPlan& sp = seats[k][s];
-          if (sp.seedings == 0 || sp.est.size() != sp.order.size()) continue;
-          // Replay which variables are bound on entry to each step, so the
-          // observed ratio lands on the stepped atom's *bound positions* —
-          // the per-(pred,pos) correction factors the planner divides by.
-          std::vector<bool> bound_var = plan.seats[s].bound0;
-          for (size_t step = 0; step < sp.order.size(); ++step) {
-            const QAtom& atom = plan.body[sp.order[step]];
-            double est_prev = step == 0 ? 1.0 : sp.est[step - 1];
-            double act_prev = step == 0
-                                  ? static_cast<double>(sp.seedings)
-                                  : static_cast<double>(sp.actual[step - 1]);
-            // Zero rows upstream: the step never executed, no signal.
-            if (!(est_prev > 0.0) || act_prev <= 0.0) break;
-            std::vector<bool> mask(atom.args.size(), false);
-            for (size_t pos = 0; pos < atom.args.size(); ++pos) {
-              mask[pos] = bound_var[atom.args[pos]];
-            }
-            live.Observe(atom.pred, mask, sp.est[step] / est_prev,
-                         static_cast<double>(sp.actual[step]) / act_prev);
-            for (VarId v : atom.args) bound_var[v] = true;
-          }
-        }
-      }
-    };
-
     // Cardinalities the current orders were planned under; a stratum
     // relation doubling (or appearing) since then triggers a re-plan.
     std::vector<std::pair<PredId, size_t>> planned_card;
@@ -643,7 +578,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
           }
         }
         if (replan) {
-          fold_feedback();
           recount(stratum_preds, &ss);
           plan_seats(false);
           for (auto& [p, card] : planned_card) {
@@ -690,7 +624,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       ++ss.iterations;
       delta = run_round(items, &ss);
     }
-    fold_feedback();
     if (options.plan_stats) {
       for (size_t k = 0; k < stratum.plans.size(); ++k) {
         const uint32_t pi = stratum.plans[k];
@@ -717,10 +650,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     run.stats_facts_counted += ss.stats_facts_counted;
     run.strata.push_back(std::move(ss));
     prev_preds = std::move(stratum_preds);
-  }
-  if (live_stats) run.corrections_active = live.ActiveCorrections();
-  if (feedback_on && options.feedback) {
-    options.feedback->ImportCorrections(live);
   }
   run.wall_seconds = SecondsSince(t_start);
   if (stats) stats->Accumulate(run);

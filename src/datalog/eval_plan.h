@@ -50,19 +50,6 @@ struct EvalOptions {
   /// plus estimated vs. measured intermediate sizes, into
   /// StratumStats::seats. Small per-match cost; off by default.
   bool plan_stats = false;
-  /// Feedback: fold each seat's measured-vs-estimated per-step row counts
-  /// into per-predicate correction factors (Stats::Observe) at every
-  /// re-plan and stratum close, so later plans in the same run use
-  /// measured selectivities. Needs measurements, so it only engages when
-  /// plan_stats is on and planning is live (no `stats` snapshot).
-  bool plan_feedback = true;
-  /// Cross-run feedback accumulator (not owned, may be null): its
-  /// correction factors are imported into the live statistics before
-  /// planning, and the corrections learned during the run are exported
-  /// back after it — so repeated evaluations converge toward measured
-  /// selectivities (see the convergence test). Only consulted when
-  /// plan_feedback engages.
-  Stats* feedback = nullptr;
   /// Abstract-interpretation pruning (analysis/dataflow.h): before the
   /// stratum loop, run the emptiness/constant-set fixpoint seeded from
   /// the input and skip seating the provably-dead rules — their bodies
@@ -118,7 +105,7 @@ struct JoinSeatStats {
   // How many times this seat's join was seeded: 1 for the initial full
   // join, one per successfully-bound delta fact otherwise. est_rows is a
   // per-seeding estimate while actual_rows sums over seedings; dividing
-  // by this makes the two comparable (the feedback layer does).
+  // by this makes the two comparable.
   size_t seedings = 0;
 };
 
@@ -151,15 +138,10 @@ struct EvalStats {
   size_t replans = 0;
   size_t rules_pruned = 0;  // rules skipped by EvalOptions::dataflow_prune
   size_t stats_facts_counted = 0;  // sum over strata (see StratumStats)
-  // Predicates whose feedback correction factor ended the run away from
-  // 1.0 (Stats::ActiveCorrections of the planning statistics). Accumulate
-  // keeps the max across runs, not the sum — it is a gauge, not a counter.
-  size_t corrections_active = 0;
   double wall_seconds = 0;
   std::vector<StratumStats> strata;
 
-  /// Adds the scalar totals (max for corrections_active) and appends the
-  /// strata of `other`.
+  /// Adds the scalar totals and appends the strata of `other`.
   void Accumulate(const EvalStats& other);
 
   /// One-line rendering for bench labels / logs.
@@ -281,10 +263,7 @@ class CompiledProgram {
   /// seat), stable enough to pin in golden tests:
   ///   rule 0 (Head) full: R S(~4) T(~2.5)
   ///   rule 0 (Head) delta[1:S]: T R
-  /// The (~n) estimates appear only when stats are bound. When the bound
-  /// stats carry feedback corrections (Stats::Observe), a final line
-  /// renders the correction table:
-  ///   corrections: R x0.25 S x4
+  /// The (~n) estimates appear only when stats are bound.
   std::string DescribePlansText() const;
 
  private:

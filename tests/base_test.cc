@@ -7,7 +7,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "base/canonical.h"
 #include "base/gaifman.h"
 #include "base/homomorphism.h"
 #include "base/instance.h"
@@ -325,56 +324,6 @@ TEST(ThreadPool, SharedPoolSupportsFourWayFanOut) {
   EXPECT_GE(ThreadPool::Shared().num_threads() + 1, 4);
 }
 
-// ---------------------------------------------------------------------------
-// Canonical forms (base/canonical.h): order-independent instance hashing,
-// isomorphism checking, and the D'-test cache built on them.
-
-TEST(Canonical, HashInvariantUnderRenamingAndFactOrder) {
-  auto vocab = MakeVocabulary();
-  PredId r = vocab->AddPredicate("R", 2);
-  PredId u = vocab->AddPredicate("U", 1);
-  Instance a(vocab);
-  ElemId a0 = a.AddElement(), a1 = a.AddElement(), a2 = a.AddElement();
-  a.AddFact(r, {a0, a1});
-  a.AddFact(r, {a1, a2});
-  a.AddFact(u, {a2});
-  // Same shape, elements permuted and facts inserted in another order.
-  Instance b(vocab);
-  ElemId b0 = b.AddElement(), b1 = b.AddElement(), b2 = b.AddElement();
-  b.AddFact(u, {b0});
-  b.AddFact(r, {b1, b0});
-  b.AddFact(r, {b2, b1});
-  EXPECT_EQ(CanonicalHash(a, {a0}), CanonicalHash(b, {b2}));
-  // A different tuple anchor distinguishes them.
-  EXPECT_NE(CanonicalHash(a, {a0}), CanonicalHash(b, {b0}));
-}
-
-TEST(Canonical, FindIsomorphismOnPathsAndNonIso) {
-  auto vocab = MakeVocabulary();
-  PredId r = vocab->AddPredicate("R", 2);
-  Instance a(vocab);
-  ElemId a0 = a.AddElement(), a1 = a.AddElement(), a2 = a.AddElement();
-  a.AddFact(r, {a0, a1});
-  a.AddFact(r, {a1, a2});
-  Instance b(vocab);
-  ElemId b0 = b.AddElement(), b1 = b.AddElement(), b2 = b.AddElement();
-  b.AddFact(r, {b2, b0});
-  b.AddFact(r, {b0, b1});
-  auto iso = FindIsomorphism(a, {a0}, b, {b2});
-  ASSERT_TRUE(iso.has_value());
-  EXPECT_EQ((*iso)[a0], b2);
-  EXPECT_EQ((*iso)[a1], b0);
-  EXPECT_EQ((*iso)[a2], b1);
-  // Anchoring the tuple at the wrong end rules the isomorphism out.
-  EXPECT_FALSE(FindIsomorphism(a, {a0}, b, {b1}).has_value());
-  // A 2-cycle is not isomorphic to a path.
-  Instance c(vocab);
-  ElemId c0 = c.AddElement(), c1 = c.AddElement();
-  c.AddFact(r, {c0, c1});
-  c.AddFact(r, {c1, c0});
-  EXPECT_FALSE(FindIsomorphism(a, {}, c, {}).has_value());
-}
-
 TEST(FactHashTest, DenseConsecutiveFactsDoNotCollide) {
   // Collision regression for the SplitMix64-finalized fact hash: the
   // open-addressing fact table and the unordered fact sets key on
@@ -422,35 +371,6 @@ TEST(FactHashTest, ArgumentOrderAndPredicateChangeTheHash) {
   FactView v{0, std::span<const ElemId>(ab, 2)};
   EXPECT_EQ(FactHash{}(f), FactHash{}(v));
   EXPECT_TRUE(FactEq{}(f, v));
-}
-
-TEST(Canonical, TestCacheComputesEachTypeOnce) {
-  auto vocab = MakeVocabulary();
-  PredId r = vocab->AddPredicate("R", 2);
-  CanonicalTestCache cache;
-  int computes = 0;
-  auto run = [&](ElemId anchor, const Instance& inst, bool value) {
-    bool hit = false;
-    bool got = cache.GetOrCompute(inst, {anchor}, [&] {
-      ++computes;
-      return value;
-    }, &hit);
-    EXPECT_EQ(got, value);
-    return hit;
-  };
-  Instance a(vocab);
-  ElemId a0 = a.AddElement(), a1 = a.AddElement();
-  a.AddFact(r, {a0, a1});
-  EXPECT_FALSE(run(a0, a, true));
-  // An isomorphic copy hits and returns the cached value without compute.
-  Instance b(vocab);
-  ElemId b0 = b.AddElement(), b1 = b.AddElement();
-  b.AddFact(r, {b1, b0});
-  EXPECT_TRUE(run(b1, b, true));
-  // A different anchor is a different test.
-  EXPECT_FALSE(run(b0, b, false));
-  EXPECT_EQ(computes, 2);
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 }  // namespace

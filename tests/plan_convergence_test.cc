@@ -1,21 +1,15 @@
-// Convergence regression for the feedback-corrected planner on the
-// Figure 4 row family (the long-R-rows workload of bench_fig4_longrows):
-// evaluating the inverse-rules rewriting over the view image of a diamond
-// chain, the worst per-step estimation error — max over executed join
-// steps of max(est/actual, actual/est) on per-seeding fanouts — must
-// strictly improve after two feedback rounds through an
-// EvalOptions::feedback accumulator, and the before/after ratios are
-// pinned so a regression in either the estimator or the feedback fold
-// shows up as a number, not a vague slowdown.
+// Regression pins for live join planning (EvalOptions::stats_planner with
+// no snapshot): on the Figure 4 row family (the long-R-rows workload of
+// bench_fig4_longrows) and on a same-generation program, the recounted
+// statistics, the re-plan points and hence every join order are fixed, so
+// the deterministic counters of a 1-thread run are pinned as numbers.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "base/stats.h"
 #include "datalog/eval.h"
 #include "datalog/eval_plan.h"
 #include "datalog/program.h"
@@ -24,140 +18,6 @@
 
 namespace mondet {
 namespace {
-
-/// Worst per-step fanout error across every executed seat: estimates and
-/// measurements are normalized per seeding (JoinSeatStats::seedings) so
-/// the two are comparable; steps with no signal (zero rows on either
-/// side) are skipped, exactly as the feedback fold skips them.
-double MaxStepRatio(const EvalStats& stats) {
-  double worst = 1.0;
-  for (const StratumStats& ss : stats.strata) {
-    for (const JoinSeatStats& seat : ss.seats) {
-      if (seat.seedings == 0 || seat.est_rows.size() != seat.order.size()) {
-        continue;
-      }
-      for (size_t step = 0; step < seat.order.size(); ++step) {
-        double est_prev = step == 0 ? 1.0 : seat.est_rows[step - 1];
-        double act_prev = step == 0 ? static_cast<double>(seat.seedings)
-                                    : static_cast<double>(
-                                          seat.actual_rows[step - 1]);
-        if (!(est_prev > 0.0) || act_prev <= 0.0) break;
-        double est = seat.est_rows[step] / est_prev;
-        double act = static_cast<double>(seat.actual_rows[step]) / act_prev;
-        if (!(est > 0.0) || act <= 0.0) continue;
-        worst = std::max(worst, std::max(est / act, act / est));
-      }
-    }
-  }
-  return worst;
-}
-
-TEST(PlanConvergenceTest, FeedbackShrinksWorstEstimationError) {
-  Thm7Gadget gadget = BuildThm7();
-  DatalogQuery rewriting = InverseRulesRewriting(gadget.query, gadget.views);
-  CompiledProgram compiled(rewriting.program);
-  Instance image = gadget.views.Image(gadget.DiamondChain(24));
-
-  EvalOptions base;
-  base.num_threads = 1;  // pinned numbers come from the deterministic run
-  base.plan_stats = true;
-  base.stats_min_facts = 0;  // force live planning on this small image
-
-  // Round 0: corrections disabled — the uncorrected estimator's error.
-  EvalOptions uncorrected = base;
-  uncorrected.plan_feedback = false;
-  EvalStats stats0;
-  Instance fix0 = compiled.Eval(image, &stats0, uncorrected);
-  ASSERT_FALSE(fix0.NumRows(rewriting.goal) == 0);
-  EXPECT_EQ(stats0.corrections_active, 0u);
-  const double before = MaxStepRatio(stats0);
-  ASSERT_GT(before, 1.0) << "workload has no estimation error to correct";
-
-  // Two feedback rounds through a cross-run accumulator: round 1 learns,
-  // round 2 plans (and is measured) under the imported corrections.
-  Stats feedback;
-  EvalOptions corrected = base;
-  corrected.feedback = &feedback;
-  EvalStats stats1;
-  Instance fix1 = compiled.Eval(image, &stats1, corrected);
-  EXPECT_GT(feedback.ActiveCorrections(), 0u);
-  EvalStats stats2;
-  Instance fix2 = compiled.Eval(image, &stats2, corrected);
-  const double after = MaxStepRatio(stats2);
-
-  // Corrections steer orders, never results.
-  ASSERT_EQ(fix0.num_facts(), fix1.num_facts());
-  ASSERT_EQ(fix0.num_facts(), fix2.num_facts());
-  for (const Fact& f : fix0.AllFacts()) {
-    EXPECT_TRUE(fix2.HasFact(f));
-  }
-
-  // The regression pin: strict improvement, and both endpoints anchored.
-  EXPECT_LT(after, before);
-  EXPECT_GT(stats2.corrections_active, 0u);
-  RecordProperty("max_ratio_before", std::to_string(before));
-  RecordProperty("max_ratio_after", std::to_string(after));
-  // The workload's worst step probes a relation the estimator believes is
-  // nearly empty; with per-(pred,pos) factors the correction saturates at
-  // the 16x clamp on each of the step's two bound positions, so two
-  // rounds improve the worst ratio by exactly 16^2 (the scalar-only
-  // planner managed a single 16x here).
-  EXPECT_NEAR(before, 279841.0, 1.0);
-  EXPECT_NEAR(after, 1093.12890625, 1.0);
-  EXPECT_NEAR(before / after, 256.0, 1e-6);
-}
-
-TEST(PlanConvergenceTest, PositionalCorrectionsConvergePerPosition) {
-  // Satellite pin for the per-(pred,pos) correction factors: the same
-  // Figure 4 workload, one learning round. The estimator's blind spot is
-  // positional (join selectivity on specific argument positions, not the
-  // relation's overall cardinality), so the learned signal must land in
-  // pos_correction, saturate at the per-factor clamp on the worst
-  // positions, and leave the scalar factors milder than the positional
-  // ones it replaced.
-  Thm7Gadget gadget = BuildThm7();
-  DatalogQuery rewriting = InverseRulesRewriting(gadget.query, gadget.views);
-  CompiledProgram compiled(rewriting.program);
-  Instance image = gadget.views.Image(gadget.DiamondChain(24));
-
-  Stats feedback;
-  EvalOptions options;
-  options.num_threads = 1;
-  options.plan_stats = true;  // per-step actuals feed the fold
-  options.stats_min_facts = 0;  // force live planning on this small image
-  options.feedback = &feedback;
-  // Two learning rounds, the same discipline as FeedbackShrinks: the
-  // per-round nudge is ratio^(1/(2k)) per bound position, so the worst
-  // positions need the second round to reach the clamp.
-  compiled.Eval(image, nullptr, options);
-  compiled.Eval(image, nullptr, options);
-  ASSERT_GT(feedback.ActiveCorrections(), 0u);
-
-  const VocabularyPtr& vocab = rewriting.program.vocab();
-  size_t corrected_positions = 0;
-  double max_factor = 0.0;
-  double min_factor = 1e9;
-  for (PredId p : vocab->AllPredicates()) {
-    for (int pos = 0; pos < vocab->arity(p); ++pos) {
-      const double c = feedback.pos_correction(p, pos);
-      if (c == 1.0) continue;
-      ++corrected_positions;
-      max_factor = std::max(max_factor, c);
-      min_factor = std::min(min_factor, c);
-    }
-  }
-  RecordProperty("corrected_positions", std::to_string(corrected_positions));
-  RecordProperty("max_factor", std::to_string(max_factor));
-  RecordProperty("min_factor", std::to_string(min_factor));
-  // The pins: several distinct positions carry signal, the worst ones hit
-  // the 16x clamp exactly, and downward factors stay above the 1/16
-  // floor. Exact counts anchored so a fold regression shows as a number
-  // (23 with this workload below the dataflow gate — two extra dead-rule
-  // seats run, and their steps carry positional signal too).
-  EXPECT_EQ(corrected_positions, 23u);
-  EXPECT_DOUBLE_EQ(max_factor, 16.0);
-  EXPECT_GE(min_factor, 1.0 / 16.0);
-}
 
 /// A same-generation program over a complete binary tree of `depth`
 /// levels with flat siblings: two recursive strata (Anc, then Sg) whose
@@ -200,8 +60,7 @@ SgFamily MakeSgFamily(int depth) {
 }
 
 TEST(PlanConvergenceTest, LivePlanningCountersArePinned) {
-  // Live planning at one thread on two families, with and without the
-  // feedback fold. The numbers were recorded when the live statistics
+  // Live planning at one thread on two families. The numbers were recorded when the live statistics
   // were still folded in fact by fact at every merge barrier; recounting
   // at stratum entry and at each re-plan reads the same exact counts at
   // the same points, so every join order — and with it every counter
@@ -216,29 +75,19 @@ TEST(PlanConvergenceTest, LivePlanningCountersArePinned) {
     const char* name;
     const CompiledProgram* compiled;
     Instance input;
-    bool feedback;
     size_t iterations, facts_derived, join_probes, replans;
   };
   const std::vector<Pin> pins = {
-      {"fig4/24", &fig4, gadget.views.Image(gadget.DiamondChain(24)), false,
-       36, 123, 244, 5},
-      {"fig4/24+feedback", &fig4, gadget.views.Image(gadget.DiamondChain(24)),
-       true, 36, 123, 244, 5},
-      {"fig4/96", &fig4, gadget.views.Image(gadget.DiamondChain(96)), false,
-       107, 483, 963, 7},
-      {"sg/7", &sg_compiled, sg.input, false, 16, 11437, 25414, 8},
-      {"sg/7+feedback", &sg_compiled, sg.input, true, 16, 11437, 25414, 8},
+      {"fig4/24", &fig4, gadget.views.Image(gadget.DiamondChain(24)), 36, 123,
+       244, 5},
+      {"fig4/96", &fig4, gadget.views.Image(gadget.DiamondChain(96)), 107,
+       483, 963, 7},
+      {"sg/7", &sg_compiled, sg.input, 16, 11437, 25414, 8},
   };
   for (const Pin& pin : pins) {
     EvalOptions options;
     options.num_threads = 1;
     options.stats_min_facts = 0;  // force live planning on every input
-    Stats accumulator;
-    if (pin.feedback) {
-      options.plan_stats = true;
-      options.feedback = &accumulator;
-      pin.compiled->Eval(pin.input, nullptr, options);  // learning round
-    }
     EvalStats stats;
     pin.compiled->Eval(pin.input, &stats, options);
     RecordProperty(pin.name, stats.Summary());
@@ -248,36 +97,6 @@ TEST(PlanConvergenceTest, LivePlanningCountersArePinned) {
     EXPECT_EQ(stats.join_probes, pin.join_probes) << pin.name;
     EXPECT_EQ(stats.replans, pin.replans) << pin.name;
   }
-}
-
-TEST(PlanConvergenceTest, DescribePlansTextRendersCorrectionTable) {
-  Thm7Gadget gadget = BuildThm7();
-  DatalogQuery rewriting = InverseRulesRewriting(gadget.query, gadget.views);
-  Instance image = gadget.views.Image(gadget.DiamondChain(8));
-
-  Stats feedback;
-  {
-    CompiledProgram compiled(rewriting.program);
-    EvalOptions options;
-    options.num_threads = 1;
-    options.plan_stats = true;
-    options.stats_min_facts = 0;  // force live planning on this image
-    options.feedback = &feedback;
-    compiled.Eval(image, nullptr, options);
-  }
-  ASSERT_GT(feedback.ActiveCorrections(), 0u);
-
-  CompiledProgram described(rewriting.program);
-  Stats snapshot = Stats::Collect(image);
-  snapshot.ImportCorrections(feedback);
-  described.BindStats(snapshot);
-  std::string text = described.DescribePlansText();
-  EXPECT_NE(text.find("corrections:"), std::string::npos) << text;
-  // Without corrections the table is absent.
-  CompiledProgram plain(rewriting.program);
-  plain.BindStats(Stats::Collect(image));
-  EXPECT_EQ(plain.DescribePlansText().find("corrections:"),
-            std::string::npos);
 }
 
 }  // namespace

@@ -3,9 +3,8 @@
 // sparse high element ids, on nullary and empty predicates; Refresh after
 // growth and Refresh of a snapshot taken from another instance agree with
 // a fresh Collect; the selectivity estimates match hand calculations;
-// planning from stale statistics still yields correct fixpoints (stale
-// stats may cost time, never correctness); and feedback corrections
-// damp/clamp as documented.
+// and planning from stale statistics still yields correct fixpoints
+// (stale stats may cost time, never correctness).
 
 #include <gtest/gtest.h>
 
@@ -186,48 +185,6 @@ TEST(StatsTest, EstimateMatchesHandComputed) {
   // Unknown / empty predicates estimate to zero rows.
   PredId u = *vocab->FindPredicate("U");
   EXPECT_DOUBLE_EQ(stats.EstimateMatches(u, {false}), 0.0);
-}
-
-TEST(StatsTest, ObserveDampsAndClampsCorrections) {
-  auto vocab = SmallVocab();
-  Instance inst(vocab);
-  ElemId a = inst.AddElement(), b = inst.AddElement(), c = inst.AddElement();
-  PredId r = *vocab->FindPredicate("R");
-  inst.AddFact(r, {a, b});
-  inst.AddFact(r, {a, c});
-  inst.AddFact(r, {b, c});
-  Stats stats = Stats::Collect(inst);
-  EXPECT_EQ(stats.ActiveCorrections(), 0u);
-  EXPECT_DOUBLE_EQ(stats.correction(r), 1.0);
-
-  // One 4x underestimate moves the factor half the error in log space:
-  // sqrt(4) = 2. Estimates scale accordingly.
-  stats.Observe(r, 1.0, 4.0);
-  EXPECT_DOUBLE_EQ(stats.correction(r), 2.0);
-  EXPECT_EQ(stats.ActiveCorrections(), 1u);
-  EXPECT_DOUBLE_EQ(stats.EstimateMatches(r, {false, false}), 6.0);
-
-  // Repeated huge errors saturate at the 16x clamp, never beyond.
-  for (int i = 0; i < 20; ++i) stats.Observe(r, 1.0, 1e9);
-  EXPECT_DOUBLE_EQ(stats.correction(r), 16.0);
-
-  // Nonpositive estimates carry no signal; actual == 0 is the strongest
-  // overestimate and pulls toward the lower clamp.
-  double before = stats.correction(r);
-  stats.Observe(r, 0.0, 100.0);
-  EXPECT_DOUBLE_EQ(stats.correction(r), before);
-  for (int i = 0; i < 20; ++i) stats.Observe(r, 100.0, 0.0);
-  EXPECT_DOUBLE_EQ(stats.correction(r), 1.0 / 16.0);
-
-  // ImportCorrections copies factors without touching counts; Refresh
-  // recounts without touching factors.
-  Stats fresh = Stats::Collect(inst);
-  fresh.ImportCorrections(stats);
-  EXPECT_DOUBLE_EQ(fresh.correction(r), 1.0 / 16.0);
-  EXPECT_EQ(fresh.cardinality(r), 3u);
-  fresh.Refresh(inst, {r});
-  EXPECT_DOUBLE_EQ(fresh.correction(r), 1.0 / 16.0);
-  EXPECT_EQ(fresh.cardinality(r), 3u);
 }
 
 TEST(StatsTest, StaleStatsStillYieldCorrectFixpoints) {

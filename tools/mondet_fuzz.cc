@@ -19,9 +19,12 @@
 //
 // Exit codes: 0 all checks passed, 1 some check failed, 2 usage/IO error.
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "testing/corpus.h"
@@ -39,6 +42,16 @@ int Usage(const char* argv0) {
                "       [--no-shrink] [--replay FILE...]\n",
                argv0);
   return 2;
+}
+
+/// Parses all of `text` as a non-negative decimal that fits in T. Signs,
+/// leading spaces, trailing characters and out-of-range values fail.
+template <typename T>
+bool ParseCount(const char* text, T* out) {
+  if (*text < '0' || *text > '9') return false;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 std::string ReproPath(const std::string& out_dir, const FuzzCase& c) {
@@ -93,14 +106,17 @@ int main(int argc, char** argv) {
       if (++i >= argc) return Usage(argv[0]);
       oracle_names.push_back(argv[i]);
     } else if (arg == "--seeds") {
-      if (++i >= argc) return Usage(argv[0]);
-      num_seeds = static_cast<size_t>(std::stoul(argv[i]));
+      if (++i >= argc || !ParseCount(argv[i], &num_seeds)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--seed") {
-      if (++i >= argc) return Usage(argv[0]);
-      seeds.push_back(static_cast<unsigned>(std::stoul(argv[i])));
+      unsigned seed = 0;
+      if (++i >= argc || !ParseCount(argv[i], &seed)) return Usage(argv[0]);
+      seeds.push_back(seed);
     } else if (arg == "--budget-ms") {
-      if (++i >= argc) return Usage(argv[0]);
-      budget_ms = std::stoll(argv[i]);
+      if (++i >= argc || !ParseCount(argv[i], &budget_ms)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--out") {
       if (++i >= argc) return Usage(argv[0]);
       out_dir = argv[i];
