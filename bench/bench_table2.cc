@@ -84,7 +84,7 @@ void BM_T2_UcqUcq_Exact(benchmark::State& state) {
 BENCHMARK(BM_T2_UcqUcq_Exact)->Arg(1)->Arg(2)->Arg(3);
 
 // --- Cell: CQ / Datalog — 2ExpTime (Thm 5, automata). ---------------------
-void BM_T2_CqDatalog_Thm5(benchmark::State& state, bool antichain) {
+void BM_T2_CqDatalog_Thm5(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   auto vocab = MakeVocabulary();
   PredId r = vocab->AddPredicate("R", 2);
@@ -105,40 +105,25 @@ void BM_T2_CqDatalog_Thm5(benchmark::State& state, bool antichain) {
   ViewSet views(vocab);
   views.AddView("VReach", *def);
   views.AddAtomicView("VR", r);
-  ContainmentOptions options;
-  options.antichain = antichain;
   size_t pairs = 0;
   size_t visits = 0;
   size_t macrostates = 0;
-  size_t prunes = 0;
   bool determined = false;
   for (auto _ : state) {
-    Thm5Result result = CheckCqOverDatalogViews(q, views, options);
+    Thm5Result result = CheckCqOverDatalogViews(q, views);
     pairs = result.pairs_explored;
     visits = result.transition_visits;
     macrostates = result.macrostates_visited;
-    prunes = result.subsumption_prunes;
     determined = result.determined;
   }
   state.counters["state_pairs"] = static_cast<double>(pairs);
   state.counters["transition_visits"] = static_cast<double>(visits);
   state.counters["macrostates"] = static_cast<double>(macrostates);
-  state.counters["subsumption_prunes"] = static_cast<double>(prunes);
   state.SetLabel(std::string("exact automata decision: ") +
                  (determined ? "determined" : "not determined") +
                  " (paper: 2ExpTime-complete)");
 }
-// The antichain-on/off twins decide identically (verdicts and
-// counterexamples are bit-identical by contract); the wide n=4 rung is
-// where the pruned walk's smaller frontier starts to pay.
-void BM_T2_CqDatalog_Thm5_Antichain(benchmark::State& state) {
-  BM_T2_CqDatalog_Thm5(state, /*antichain=*/true);
-}
-void BM_T2_CqDatalog_Thm5_FullFixpoint(benchmark::State& state) {
-  BM_T2_CqDatalog_Thm5(state, /*antichain=*/false);
-}
-BENCHMARK(BM_T2_CqDatalog_Thm5_Antichain)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
-BENCHMARK(BM_T2_CqDatalog_Thm5_FullFixpoint)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
+BENCHMARK(BM_T2_CqDatalog_Thm5)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
 // --- Cell: FGDL / FGDL — decidable, 2ExpTime (Thm 3). --------------------
 // Realized by the Lemma 5 canonical-test engine on FGDL pairs (exact

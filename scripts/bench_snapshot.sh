@@ -34,9 +34,9 @@ done
   --benchmark_out_format=json
 
 # Figure 4 row-family evaluator sweep: live planning against the
-# compile-time orders (BM_Fig4_RowFamilyEval vs ..._StaticPlan) and
-# dataflow pruning off (..._NoPrune); stats_counted shows the rows the
-# per-stratum / per-re-plan recounts touch. Merged into
+# compile-time orders (BM_Fig4_RowFamilyEval vs ..._StaticPlan);
+# stats_counted shows the rows the per-stratum / per-re-plan recounts
+# touch. Merged into
 # BENCH_table2.json when python3 is around, kept as a sibling file
 # otherwise.
 ./build/bench/bench_fig4_longrows \

@@ -18,7 +18,8 @@
 #   prune bidirectional (src/automata/ops.cc): it also discards new
 #   macrostates that are *subsets* of visited ones, which is unsound —
 #   inclusion verdicts flip to "included" — and is caught by the
-#   antichain-inclusion oracle's three-way agreement contract.
+#   antichain-inclusion oracle's agreement with the explicit
+#   Complement + Product route.
 #
 # For each (oracle, fault) pair this script asserts that mondet-fuzz
 #

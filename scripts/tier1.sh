@@ -62,13 +62,13 @@ fi
 # workers so the sanitizers see real interleaving;
 # dataflow_soundness_test is the abstract-interpretation soundness
 # oracle (concrete fixpoint contained in the abstract one, dead rules
-# never fire, pruning bit-identical at 1/4 threads);
+# never fire, subsumed rules droppable);
 # kernel_differential_test is the columnar data plane's invisibility
 # oracle (compiled join kernels vs the generic interpreter, byte-
 # identical sequences at 1 and 4 threads);
 # antichain_test is the lazy-inclusion arm: NtaIncluded vs the explicit
-# Complement+Product route, the Thm 5 antichain-on/off byte-identity
-# regression, and the antichain-inclusion oracle seed sweep.
+# Complement+Product route, the Thm 5 counterexample goldens, and the
+# antichain-inclusion oracle seed sweep.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
 cmake --build build-asan -j "$JOBS" --target eval_differential_test plan_differential_test kernel_differential_test stats_test plan_convergence_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test mondet-fuzz
 MONDET_THREADS=1 ./build-asan/tests/eval_differential_test

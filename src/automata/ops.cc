@@ -382,8 +382,7 @@ void SortUnique(Macro* m) {
 }  // namespace
 
 NtaInclusionResult NtaIncluded(const Nta& a, const Nta& b,
-                               const SymbolUniverse& universe,
-                               const NtaInclusionOptions& options) {
+                               const SymbolUniverse& universe) {
   MONDET_CHECK(a.width() == b.width());
   NtaInclusionResult result;
   const bool fault = FaultSkipAntichainPrune();
@@ -458,13 +457,11 @@ NtaInclusionResult NtaIncluded(const Nta& a, const Nta& b,
     auto mit = macro_id.find(m);
     int mid = mit == macro_id.end() ? -1 : mit->second;
     if (mid >= 0 && pair_id.count({q, mid})) return;
-    if (options.antichain_prune) {
-      for (int old : frontier[q]) {
-        const Macro& seen = macros[pairs[old].second];
-        if (MacroSubset(seen, m) || (fault && MacroSubset(m, seen))) {
-          ++result.subsumption_prunes;
-          return;
-        }
+    for (int old : frontier[q]) {
+      const Macro& seen = macros[pairs[old].second];
+      if (MacroSubset(seen, m) || (fault && MacroSubset(m, seen))) {
+        ++result.subsumption_prunes;
+        return;
       }
     }
     if (mid < 0) {
@@ -480,16 +477,14 @@ NtaInclusionResult NtaIncluded(const Nta& a, const Nta& b,
     pairs.emplace_back(q, mid);
     derivs.push_back(deriv);
     pairs_by_state[q].push_back(id);
-    if (options.antichain_prune) {
-      auto& fr = frontier[q];
-      fr.erase(std::remove_if(fr.begin(), fr.end(),
-                              [&](int old) {
-                                return MacroSubset(macros[mid],
-                                                   macros[pairs[old].second]);
-                              }),
-               fr.end());
-      fr.push_back(id);
-    }
+    auto& fr = frontier[q];
+    fr.erase(std::remove_if(fr.begin(), fr.end(),
+                            [&](int old) {
+                              return MacroSubset(macros[mid],
+                                                 macros[pairs[old].second]);
+                            }),
+             fr.end());
+    fr.push_back(id);
     worklist.push_back(id);
     if (a.finals().count(q) > 0 && !macro_final[mid]) bad = id;
   };

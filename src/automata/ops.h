@@ -72,16 +72,6 @@ Nta Determinize(const Nta& a, const SymbolUniverse& universe);
 /// oracle checks both give the same answer).
 Nta Complement(const Nta& a, const SymbolUniverse& universe);
 
-struct NtaInclusionOptions {
-  /// Antichain subsumption pruning: per a-state, keep only the ⊆-minimal
-  /// b-macrostates. Sound because DP continuations from a smaller
-  /// macrostate reject whenever those from a larger one do, so any
-  /// counterexample reachable through a pruned (superset) macrostate is
-  /// also reachable through the kept one. Off = the same lazy walk
-  /// without pruning (the escape hatch for differential testing).
-  bool antichain_prune = true;
-};
-
 /// Outcome of NtaIncluded. Counters describe the lazy search; `witness`
 /// is populated exactly when the inclusion fails.
 struct NtaInclusionResult {
@@ -92,7 +82,7 @@ struct NtaInclusionResult {
   /// Determinize(b, universe).num_states(), and never larger.
   size_t macrostates_visited = 0;
   /// Candidate pairs discarded because a ⊆-smaller macrostate was
-  /// already visited for the same a-state (0 with pruning off).
+  /// already visited for the same a-state.
   size_t subsumption_prunes = 0;
   size_t transition_visits = 0;
   /// When !included: a code accepted by `a` and rejected by `b`.
@@ -103,13 +93,16 @@ struct NtaInclusionResult {
 /// materializing Determinize(b): explores (state-of-a, subset-of-b) pairs
 /// on demand from the leaves up, pruning ⊆-dominated macrostates, and
 /// stops at the first pair witnessing non-inclusion (final in `a`, no
-/// final of `b` in the macrostate). Equivalent to
+/// final of `b` in the macrostate). The prune is sound because DP
+/// continuations from a smaller macrostate reject whenever those from a
+/// larger one do, so a counterexample reachable through a pruned
+/// (superset) macrostate is also reachable through the kept one.
+/// Equivalent to
 /// IsEmpty(Product(a, Complement(b, universe))); transitions of `a` whose
 /// symbols fall outside `universe` do not participate, matching the
 /// explicit route.
 NtaInclusionResult NtaIncluded(const Nta& a, const Nta& b,
-                               const SymbolUniverse& universe,
-                               const NtaInclusionOptions& options = {});
+                               const SymbolUniverse& universe);
 
 /// Outcome of LazyProductEmptiness; `witness` is a code accepted by both
 /// automata exactly when the intersection is nonempty.

@@ -166,12 +166,6 @@ bool CqMatchAutomaton::Accepting(DpState state) const {
   return accepting_[state];
 }
 
-bool CqMatchAutomaton::SubsetOf(DpState s, DpState t) const {
-  const MatchSet& sub = states_[s];
-  const MatchSet& sup = states_[t];
-  return std::includes(sup.begin(), sup.end(), sub.begin(), sub.end());
-}
-
 UcqMatchAutomaton::UcqMatchAutomaton(const UCQ& ucq, int width) {
   for (const CQ& cq : ucq.disjuncts()) parts_.emplace_back(cq, width);
   MONDET_CHECK(!parts_.empty());
@@ -221,13 +215,6 @@ bool UcqMatchAutomaton::Accepting(DpState state) const {
     if (parts_[i].Accepting(states_[state][i])) return true;
   }
   return false;
-}
-
-bool UcqMatchAutomaton::SubsetOf(DpState s, DpState t) const {
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    if (!parts_[i].SubsetOf(states_[s][i], states_[t][i])) return false;
-  }
-  return true;
 }
 
 }  // namespace mondet

@@ -38,12 +38,6 @@ class CqMatchAutomaton {
   /// decoded instance of the subtree).
   bool Accepting(DpState state) const;
 
-  /// True iff s's match set is a subset of t's. Leaf/Unary/Binary are
-  /// monotone in this order and Accepting is upward closed along it, so
-  /// rejection propagates downward — the partial order the antichain
-  /// prune of DatalogContainedInUcq relies on.
-  bool SubsetOf(DpState s, DpState t) const;
-
   size_t num_states() const { return states_.size(); }
 
  private:
@@ -95,9 +89,6 @@ class UcqMatchAutomaton {
   DpState Binary(DpState child1, DpState child2, const NodeLabel& label,
                  const EdgeLabel& edge1, const EdgeLabel& edge2);
   bool Accepting(DpState state) const;
-
-  /// Componentwise CqMatchAutomaton::SubsetOf over the disjunct tuple.
-  bool SubsetOf(DpState s, DpState t) const;
 
   /// Distinct DP states interned so far (macrostates materialized).
   size_t num_states() const { return states_.size(); }

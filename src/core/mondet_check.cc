@@ -162,13 +162,7 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
   for (size_t ei = 0; ei < expansions.size(); ++ei) {
     const Expansion& qi = expansions[ei];
 
-    // One image per expansion, instances a few facts each: like the
-    // query evals below, too small to amortize per-instance dataflow
-    // analysis.
-    EvalOptions img_opts;
-    img_opts.dataflow_prune = false;
-    std::vector<Fact> image_facts =
-        views.Image(qi.inst, nullptr, img_opts).AllFacts();
+    std::vector<Fact> image_facts = views.Image(qi.inst).AllFacts();
     std::sort(image_facts.begin(), image_facts.end(), FactLess);
     Instance image(vocab);
     image.EnsureElements(qi.inst.num_elements());
@@ -255,10 +249,6 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
       EvalOptions eopts;
       eopts.num_threads = 1;
       if (block_stats) eopts.stats = &*block_stats;
-      // Thousands of µs-scale evals per check: the per-instance dataflow
-      // analysis can never amortize here, same reason the stats snapshot
-      // above bypasses live collection.
-      eopts.dataflow_prune = false;
       const bool holds = compiled_query.Eval(*dprime, nullptr, eopts)
                              .HasFact(query.goal, qi.frontier);
       if (!holds) {
@@ -299,13 +289,11 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
 
 namespace {
 
-/// One (NTA state, DP state) reachability walk — the engine shared by the
-/// antichain route and the explicit escape hatch of DatalogContainedInUcq.
-/// With `prune` off and `early_exit` off this is the pre-antichain full
-/// fixpoint, byte for byte; `early_exit` stops at the first pair interned
-/// with a final NTA state and a rejecting DP state, which is exactly the
-/// pair the full fixpoint's lowest-id post-scan finds (pairs are checked
-/// in intern order and nothing before the first bad pair differs).
+/// The (NTA state, DP state) reachability walk of DatalogContainedInUcq:
+/// a worklist fixpoint that stops at the first pair interned with a final
+/// NTA state and a rejecting DP state. Pairs are interned in a fixed
+/// order, so that first bad pair — and the code rebuilt from it — is the
+/// lowest-id bad pair of the full fixpoint.
 struct ContainmentWalk {
   struct Deriv {
     int kind = -1;  // 0 leaf, 1 unary, 2 binary
@@ -316,55 +304,27 @@ struct ContainmentWalk {
   std::vector<std::pair<State, uint32_t>> pairs;
   std::vector<Deriv> derivs;
   size_t transition_visits = 0;
-  size_t subsumption_prunes = 0;
-  int bad = -1;  // pair id, or -1 (only set when early_exit)
+  int bad = -1;  // pair id, or -1 when contained
 };
 
-ContainmentWalk RunContainmentWalk(const Nta& nta, UcqMatchAutomaton& dp,
-                                   bool prune, bool early_exit) {
+ContainmentWalk RunContainmentWalk(const Nta& nta, UcqMatchAutomaton& dp) {
   ContainmentWalk w;
   using Deriv = ContainmentWalk::Deriv;
   std::map<std::pair<State, uint32_t>, int> pair_id;
   std::map<State, std::vector<int>> pairs_by_state;
-  // Per NTA-state antichain filter: pair ids whose DP match sets are the
-  // current ⊆-minimal ones. Dominated entries leave the filter but stay
-  // in `pairs` (their derivations may already be referenced).
-  std::map<State, std::vector<int>> frontier;
   std::vector<int> worklist;  // FIFO; grows as pairs are discovered
   auto intern = [&](State q, uint32_t d, Deriv deriv) {
     if (w.bad >= 0) return;
     auto key = std::make_pair(q, d);
     auto it = pair_id.find(key);
     if (it != pair_id.end()) return;
-    if (prune) {
-      for (int old : frontier[q]) {
-        if (dp.SubsetOf(w.pairs[old].second, d)) {
-          ++w.subsumption_prunes;
-          return;
-        }
-      }
-    }
     int id = static_cast<int>(w.pairs.size());
     pair_id.emplace(key, id);
     w.pairs.push_back(key);
     w.derivs.push_back(deriv);
     pairs_by_state[q].push_back(id);
-    if (prune) {
-      auto& fr = frontier[q];
-      fr.erase(std::remove_if(fr.begin(), fr.end(),
-                              [&](int old) {
-                                return dp.SubsetOf(d, w.pairs[old].second);
-                              }),
-               fr.end());
-      fr.push_back(id);
-    }
     worklist.push_back(id);
-    // A pruned bad pair is never missed: its match sets contain a kept
-    // pair's, and rejection is downward closed, so the kept pair was
-    // already bad when it was interned.
-    if (early_exit && nta.finals().count(q) > 0 && !dp.Accepting(d)) {
-      w.bad = id;
-    }
+    if (nta.finals().count(q) > 0 && !dp.Accepting(d)) w.bad = id;
   };
 
   // Transition indexes keyed by child state: popping a pair consults only
@@ -479,64 +439,24 @@ TreeCode BuildContainmentCode(const Nta& nta, int width,
 }  // namespace
 
 ContainmentResult DatalogContainedInUcq(const DatalogQuery& query,
-                                        const UCQ& ucq,
-                                        const ContainmentOptions& options) {
+                                        const UCQ& ucq) {
   ContainmentResult result;
   ForwardResult fwd = ApproximationAutomaton(query);
   const Nta& nta = fwd.automaton;
-
-  if (options.antichain) {
-    // Verdict from the pruned early-exit walk. On failure, the witness
-    // comes from a second, unpruned early-exit walk: it interns the
-    // identical pair prefix as the escape hatch's full fixpoint, so the
-    // counterexample is byte-identical to the antichain-off route.
-    UcqMatchAutomaton dp(ucq, fwd.width);
-    ContainmentWalk w = RunContainmentWalk(nta, dp, /*prune=*/true,
-                                           /*early_exit=*/true);
-    result.pairs_explored = w.pairs.size();
-    result.transition_visits = w.transition_visits;
-    result.subsumption_prunes = w.subsumption_prunes;
-    result.macrostates_visited = dp.num_states();
-    if (w.bad < 0) {
-      result.contained = true;
-      return result;
-    }
-    UcqMatchAutomaton dp_witness(ucq, fwd.width);
-    ContainmentWalk ww = RunContainmentWalk(nta, dp_witness, /*prune=*/false,
-                                            /*early_exit=*/true);
-    MONDET_CHECK(ww.bad >= 0);
-    result.transition_visits += ww.transition_visits;
-    result.counterexample = BuildContainmentCode(nta, fwd.width, ww, ww.bad);
-    return result;
-  }
-
-  // Escape hatch: the pre-antichain full fixpoint plus lowest-id scan.
   UcqMatchAutomaton dp(ucq, fwd.width);
-  ContainmentWalk w = RunContainmentWalk(nta, dp, /*prune=*/false,
-                                         /*early_exit=*/false);
+  ContainmentWalk w = RunContainmentWalk(nta, dp);
   result.pairs_explored = w.pairs.size();
   result.transition_visits = w.transition_visits;
   result.macrostates_visited = dp.num_states();
-
-  // A counterexample: a final NTA state paired with a rejecting DP state.
-  int bad = -1;
-  for (size_t pi = 0; pi < w.pairs.size(); ++pi) {
-    if (nta.finals().count(w.pairs[pi].first) &&
-        !dp.Accepting(w.pairs[pi].second)) {
-      bad = static_cast<int>(pi);
-      break;
-    }
-  }
-  if (bad < 0) {
+  if (w.bad < 0) {
     result.contained = true;
     return result;
   }
-  result.counterexample = BuildContainmentCode(nta, fwd.width, w, bad);
+  result.counterexample = BuildContainmentCode(nta, fwd.width, w, w.bad);
   return result;
 }
 
-Thm5Result CheckCqOverDatalogViews(const CQ& query, const ViewSet& views,
-                                   const ContainmentOptions& options) {
+Thm5Result CheckCqOverDatalogViews(const CQ& query, const ViewSet& views) {
   MONDET_CHECK(query.free_vars().empty());
   const VocabularyPtr& vocab = query.vocab();
 
@@ -562,14 +482,13 @@ Thm5Result CheckCqOverDatalogViews(const CQ& query, const ViewSet& views,
 
   UCQ target(vocab);
   target.AddDisjunct(query);
-  ContainmentResult contained = DatalogContainedInUcq(q2, target, options);
+  ContainmentResult contained = DatalogContainedInUcq(q2, target);
 
   Thm5Result out;
   out.determined = contained.contained;
   out.pairs_explored = contained.pairs_explored;
   out.transition_visits = contained.transition_visits;
   out.macrostates_visited = contained.macrostates_visited;
-  out.subsumption_prunes = contained.subsumption_prunes;
   out.counterexample = std::move(contained.counterexample);
   return out;
 }

@@ -79,21 +79,6 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
                                        const ViewSet& views,
                                        const MonDetOptions& options = {});
 
-/// Options for the Datalog ⊑ UCQ containment walk (and hence Thm 5).
-struct ContainmentOptions {
-  /// Antichain subsumption pruning over the (NTA state, DP state) search:
-  /// a new pair whose match sets contain an already-visited pair's for
-  /// the same NTA state is discarded — DP transitions are monotone in
-  /// match-set inclusion and rejection is downward closed, so a
-  /// counterexample reachable through the pruned pair is also reachable
-  /// through the kept one. Verdicts and counterexamples are bit-identical
-  /// on or off (only the work counters differ; on failure an unpruned
-  /// early-exit pass re-derives the exact witness the escape hatch
-  /// produces). Off = the pre-antichain full fixpoint, kept as the
-  /// explicit escape hatch for differential testing.
-  bool antichain = true;
-};
-
 /// Exact decision for a Boolean CQ query over arbitrary Datalog views
 /// (Thm 5, 2ExpTime): builds Q'' = Π_V ∪ {Goal'' ← V(Q)} and decides the
 /// Datalog-in-CQ containment Q'' ⊑ Q via the approximation automaton
@@ -105,18 +90,13 @@ struct Thm5Result {
   size_t pairs_explored = 0;
   /// Transition applications performed by the containment fixpoint.
   size_t transition_visits = 0;
-  /// Distinct DP macrostates materialized by the verdict pass; comparable
-  /// across antichain on/off (the explicit route interns every reachable
-  /// one, the antichain route only what survives pruning).
+  /// Distinct DP macrostates the containment walk materialized.
   size_t macrostates_visited = 0;
-  /// Pairs discarded by the antichain prune (0 with antichain off). Like
-  /// the counters above this is work accounting, not part of the
-  /// bit-identical contract.
+  /// Always 0; kept because perfbench/ reads it.
   size_t subsumption_prunes = 0;
   std::optional<TreeCode> counterexample;
 };
-Thm5Result CheckCqOverDatalogViews(const CQ& query, const ViewSet& views,
-                                   const ContainmentOptions& options = {});
+Thm5Result CheckCqOverDatalogViews(const CQ& query, const ViewSet& views);
 
 /// Decides Datalog ⊑ UCQ containment (Chaudhuri–Vardi style) exactly:
 /// true iff every CQ approximation of `query` satisfies `ucq`. Both
@@ -131,16 +111,12 @@ struct ContainmentResult {
   /// each combination O(1) times; the naive re-scan visited them once per
   /// round.
   size_t transition_visits = 0;
-  /// Distinct DP macrostates materialized by the verdict pass (see
-  /// Thm5Result::macrostates_visited).
+  /// Distinct DP macrostates materialized by the walk.
   size_t macrostates_visited = 0;
-  /// Pairs discarded by the antichain prune (0 with antichain off).
-  size_t subsumption_prunes = 0;
   std::optional<TreeCode> counterexample;
 };
 ContainmentResult DatalogContainedInUcq(const DatalogQuery& query,
-                                        const UCQ& ucq,
-                                        const ContainmentOptions& options = {});
+                                        const UCQ& ucq);
 
 }  // namespace mondet
 

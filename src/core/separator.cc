@@ -65,11 +65,7 @@ bool NpSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
             e.inst.num_elements(), max_quotients,
             [&](const std::vector<ElemId>& assign, size_t classes) {
               Instance x = Quotient(e.inst, assign, classes);
-              // Quotients are enumerated by the thousand and each image
-              // eval is µs-scale: per-instance dataflow analysis off.
-              EvalOptions img_opts;
-              img_opts.dataflow_prune = false;
-              Instance image = views.Image(x, nullptr, img_opts);
+              Instance image = views.Image(x);
               // V(X) ⊆ J up to a homomorphism matching J's elements:
               // check the image maps into J as an instance.
               if (HasHomomorphism(image, j)) {
@@ -140,9 +136,6 @@ bool ChaseSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
       if (!chase_stats) chase_stats = Stats::Collect(dprime);
       EvalOptions eopts;
       eopts.stats = &*chase_stats;
-      // Same trade as the stats snapshot: one chase runs many µs-scale
-      // evals, too small to amortize per-instance dataflow analysis.
-      eopts.dataflow_prune = false;
       if (compiled_query.Eval(dprime, nullptr, eopts)
               .NumRows(query.goal) == 0) {
         all_hold = false;

@@ -1,6 +1,7 @@
 #include "datalog/eval_plan.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -9,7 +10,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "analysis/dataflow.h"
 #include "base/check.h"
 #include "base/homomorphism.h"
 #include "base/scc.h"
@@ -25,7 +25,6 @@ void EvalStats::Accumulate(const EvalStats& other) {
   rederived += other.rederived;
   join_probes += other.join_probes;
   replans += other.replans;
-  rules_pruned += other.rules_pruned;
   stats_facts_counted += other.stats_facts_counted;
   wall_seconds += other.wall_seconds;
   strata.insert(strata.end(), other.strata.begin(), other.strata.end());
@@ -39,20 +38,30 @@ std::string EvalStats::Summary() const {
        << " rederived=" << rederived;
   }
   os << " probes=" << join_probes << " replans=" << replans;
-  if (rules_pruned > 0) os << " pruned=" << rules_pruned;
   os << " stats_counted=" << stats_facts_counted
      << " strata=" << strata.size() << " wall_ms=" << wall_seconds * 1000.0;
   return os.str();
 }
 
 int ResolveEvalThreads(int requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("MONDET_THREADS")) {
-    int n = std::atoi(env);
-    if (n > 0) return n;
+  int n = requested;
+  if (n <= 0) {
+    // MONDET_THREADS counts only when the whole string is a positive
+    // decimal; anything else falls back to the hardware concurrency.
+    if (const char* env = std::getenv("MONDET_THREADS")) {
+      const char* end = env + std::strlen(env);
+      auto [ptr, ec] = std::from_chars(env, end, n);
+      if (ec != std::errc() || ptr != end) n = 0;
+    }
+    if (n <= 0) {
+      unsigned hw = std::thread::hardware_concurrency();
+      n = hw > 0 ? static_cast<int>(hw) : 1;
+    }
   }
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  // ParallelFor never runs more workers than the shared pool's threads
+  // plus the caller, so a larger count only sizes per-worker scratch.
+  if (n > 1) n = std::min(n, ThreadPool::Shared().num_threads() + 1);
+  return n;
 }
 
 namespace {
@@ -347,24 +356,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
   const int nthreads = ResolveEvalThreads(options.num_threads);
   EvalStats run;
 
-  // Abstract-interpretation pruning: the emptiness/constant-set fixpoint
-  // seeded from `input` overapproximates the concrete fixpoint, so a rule
-  // whose body is abstractly unsatisfiable can never fire in any round.
-  // Skipping its seats derives nothing less, in the same order, with the
-  // same counts — only wasted join work disappears. O(program size) per
-  // run, the same order as the initial Stats::Collect below.
-  std::vector<bool> dead;
-  if (options.dataflow_prune &&
-      input.num_facts() >= options.dataflow_min_facts) {
-    dead = DeadRuleMask(program_, input);
-    for (bool d : dead) {
-      if (d) ++run.rules_pruned;
-    }
-  }
-  auto pruned = [&](uint32_t plan_index) {
-    return !dead.empty() && dead[plan_index];
-  };
-
   // Which statistics drive planning this run. With the stats planner on
   // (the default) and no caller-supplied snapshot, collect live stats
   // from the evolving result and re-plan as relations grow; a snapshot
@@ -484,7 +475,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     std::vector<std::vector<SeatPlan>> seats(stratum.plans.size());
     auto plan_seats = [&](bool initial) {
       for (size_t k = 0; k < stratum.plans.size(); ++k) {
-        if (pruned(stratum.plans[k])) continue;  // dead rule: never seated
         const RulePlan& plan = plans_[stratum.plans[k]];
         auto& sp = seats[k];
         if (initial) sp.resize(1 + plan.recursive_atoms.size());
@@ -547,7 +537,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     std::vector<WorkItem> round0;
     round0.reserve(stratum.plans.size());
     for (size_t k = 0; k < stratum.plans.size(); ++k) {
-      if (pruned(stratum.plans[k])) continue;
       WorkItem w;
       w.plan = stratum.plans[k];
       w.order = &seats[k][0].order;
@@ -596,7 +585,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
       std::vector<WorkItem> items;
       for (size_t k = 0; k < stratum.plans.size(); ++k) {
         const uint32_t pi = stratum.plans[k];
-        if (pruned(pi)) continue;  // dead rule: no delta seats either
         const RulePlan& plan = plans_[pi];
         for (int r = 0; r < static_cast<int>(plan.recursive_atoms.size());
              ++r) {
@@ -627,7 +615,6 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     if (options.plan_stats) {
       for (size_t k = 0; k < stratum.plans.size(); ++k) {
         const uint32_t pi = stratum.plans[k];
-        if (pruned(pi)) continue;  // never seated, nothing measured
         const RulePlan& plan = plans_[pi];
         for (size_t s = 0; s < seats[k].size(); ++s) {
           JoinSeatStats j;
@@ -762,14 +749,6 @@ Instance CompiledProgram::Materialize(const Instance& input,
                                       const EvalOptions& options) const {
   Instance m = Eval(input, stats, options);
   const ChangeMap no_changes;
-  // A rule dead under the input-seeded abstract fixpoint matches nothing
-  // in the concrete fixpoint either, so skipping its counting pass leaves
-  // every derivation count unchanged.
-  std::vector<bool> dead;
-  if (options.dataflow_prune &&
-      input.num_facts() >= options.dataflow_min_facts) {
-    dead = DeadRuleMask(program_, input);
-  }
   for (const Stratum& st : strata_) {
     // Counting is unsound under recursion (a fact may transitively
     // support itself), so recursive SCC strata keep the membership-only
@@ -777,7 +756,6 @@ Instance CompiledProgram::Materialize(const Instance& input,
     if (st.recursive) continue;
     std::unordered_map<Fact, uint64_t, FactHash> dc;
     for (uint32_t pi : st.plans) {
-      if (!dead.empty() && dead[pi]) continue;
       const RulePlan& plan = plans_[pi];
       std::vector<uint8_t> read_old(plan.body.size(), 0);
       std::vector<ElemId> map(plan.num_vars, kNoElem);

@@ -50,16 +50,6 @@ struct EvalOptions {
   /// plus estimated vs. measured intermediate sizes, into
   /// StratumStats::seats. Small per-match cost; off by default.
   bool plan_stats = false;
-  /// Abstract-interpretation pruning (analysis/dataflow.h): before the
-  /// stratum loop, run the emptiness/constant-set fixpoint seeded from
-  /// the input and skip seating the provably-dead rules — their bodies
-  /// are unsatisfiable over (an overapproximation of) the fixpoint, so
-  /// they can never derive a fact and skipping them leaves the result,
-  /// its insertion order and all derivation counts bit-identical
-  /// (pinned by eval_differential_test / plan_differential_test arms and
-  /// tests/dataflow_soundness_test.cc). EvalStats::rules_pruned counts
-  /// the skipped rules.
-  bool dataflow_prune = true;
   /// Compiled join kernels (datalog/kernel.h): lower each planned
   /// (rule, delta-seat, order) into a shape-specialized loop nest over the
   /// columnar store — fixed binding frame, plan-time probe/check/bind
@@ -82,15 +72,6 @@ struct EvalOptions {
   /// to force kernels on any input (the kernel-differential oracle and
   /// bench_kernels do, so the gated path stays fully cross-checked).
   size_t kernel_min_facts = 64;
-  /// Input-size gate for dataflow_prune, the stats_min_facts idiom again:
-  /// the seeded analysis costs O(program + input) per run, so on a small
-  /// instance it cannot pay for the join work it saves — and the
-  /// canonical-test inner loops evaluate thousands of µs-scale instances
-  /// per check (profiles put the analysis near 30% of such evals at the
-  /// old gate of 8). Below the gate Eval skips the analysis and prunes
-  /// nothing (correctness is unaffected either way). Set to 0 to force
-  /// pruning on any input (the differential and soundness tests do).
-  size_t dataflow_min_facts = 64;
 };
 
 /// The join order one (rule, delta-seat) pair ran with, with the planner's
@@ -136,7 +117,8 @@ struct EvalStats {
   size_t rederived = 0;        // DRed: provisional deletions revived
   size_t join_probes = 0;
   size_t replans = 0;
-  size_t rules_pruned = 0;  // rules skipped by EvalOptions::dataflow_prune
+  /// Always 0; kept because perfbench/ reads it.
+  size_t rules_pruned = 0;
   size_t stats_facts_counted = 0;  // sum over strata (see StratumStats)
   double wall_seconds = 0;
   std::vector<StratumStats> strata;
@@ -149,7 +131,9 @@ struct EvalStats {
 };
 
 /// Resolves the worker-thread count: `requested` if positive, else the
-/// MONDET_THREADS environment variable, else hardware_concurrency().
+/// MONDET_THREADS environment variable when it is a whole positive
+/// decimal, else hardware_concurrency(). The result is capped at the
+/// shared ThreadPool's threads plus one, the most ParallelFor ever runs.
 int ResolveEvalThreads(int requested);
 
 /// One batch of base-instance mutations for CompiledProgram::Maintain.

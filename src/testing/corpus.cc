@@ -1,5 +1,6 @@
 #include "testing/corpus.h"
 
+#include <charconv>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -25,9 +26,29 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+/// A load error at 1-based file `line`, column `col`, rendered like the
+/// view diagnostics so every positioned rejection reads the same way.
+std::string PositionedError(int line, int col, const std::string& message) {
+  SourceLoc loc;
+  loc.line = line;
+  loc.col = col;
+  return FormatDiagnostic(
+      MakeDiagnostic(Severity::kError, "repro", message, loc));
+}
+
+/// Offset of the first non-blank character of `s` (s.size() if none).
+size_t Indent(const std::string& s) {
+  size_t b = s.find_first_not_of(" \t\r\n");
+  return b == std::string::npos ? s.size() : b;
+}
+
 /// Parses one `Pred(e0,e3)` fact rendering (no sign, no trailing dot).
+/// On failure sets `*error` and `*error_offset`, the offset in `text` the
+/// error points at.
 bool ParseFactBody(const std::string& text, const VocabularyPtr& vocab,
-                   size_t num_elements, Fact* out, std::string* error) {
+                   size_t num_elements, Fact* out, std::string* error,
+                   size_t* error_offset) {
+  *error_offset = 0;
   size_t open = text.find('(');
   size_t close = text.rfind(')');
   if (open == std::string::npos || close == std::string::npos ||
@@ -42,30 +63,37 @@ bool ParseFactBody(const std::string& text, const VocabularyPtr& vocab,
     return false;
   }
   std::vector<ElemId> args;
-  std::string inner = Trim(text.substr(open + 1, close - open - 1));
-  if (!inner.empty()) {
-    std::istringstream in(inner);
-    std::string tok;
-    while (std::getline(in, tok, ',')) {
-      tok = Trim(tok);
-      if (tok.size() < 2 || tok[0] != 'e') {
+  if (!Trim(text.substr(open + 1, close - open - 1)).empty()) {
+    // Comma-separated `e<index>` tokens; `start` tracks each token's
+    // offset in `text` so errors point at the token itself.
+    for (size_t start = open + 1; start <= close;) {
+      size_t end = text.find(',', start);
+      if (end == std::string::npos || end > close) end = close;
+      const std::string raw = text.substr(start, end - start);
+      const std::string tok = Trim(raw);
+      *error_offset = start + Indent(raw);
+      size_t idx = 0;
+      std::errc ec = std::errc::invalid_argument;
+      if (tok.size() >= 2 && tok[0] == 'e') {
+        const char* last = tok.data() + tok.size();
+        auto r = std::from_chars(tok.data() + 1, last, idx);
+        if (r.ptr == last) ec = r.ec;
+      }
+      if (ec == std::errc::invalid_argument) {
         *error = "malformed element `" + tok + "`";
         return false;
       }
-      int idx = -1;
-      try {
-        idx = std::stoi(tok.substr(1));
-      } catch (...) {
-        idx = -1;
-      }
-      if (idx < 0 || static_cast<size_t>(idx) >= num_elements) {
-        *error = "element `" + tok + "` out of range";
+      if (ec != std::errc() || idx >= num_elements) {
+        *error = "element `" + tok + "` out of range (" +
+                 std::to_string(num_elements) + " elements)";
         return false;
       }
       args.push_back(static_cast<ElemId>(idx));
+      start = end + 1;
     }
   }
   if (static_cast<int>(args.size()) != vocab->arity(*pred)) {
+    *error_offset = 0;
     *error = "arity mismatch for `" + name + "`";
     return false;
   }
@@ -213,7 +241,11 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
     return std::nullopt;
   };
 
-  std::vector<std::string> header_lines;
+  struct HeaderLine {
+    int line = 0;      // 1-based file line
+    std::string text;  // the raw line
+  };
+  std::vector<HeaderLine> header_lines;
   std::vector<Section> sections;
   {
     std::istringstream in(text);
@@ -228,16 +260,19 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
       } else if (!sections.empty()) {
         sections.back().lines.push_back(line);
       } else if (!t.empty()) {
-        header_lines.push_back(t);
+        header_lines.push_back(HeaderLine{line_no, line});
       }
     }
   }
 
   FuzzCase c;
   std::string profile_name;
-  for (const std::string& h : header_lines) {
+  for (const HeaderLine& hl : header_lines) {
+    const std::string& h = hl.text;
     size_t colon = h.find(':');
-    if (colon == std::string::npos) return fail("bad header line `" + h + "`");
+    if (colon == std::string::npos) {
+      return fail("bad header line `" + Trim(h) + "`");
+    }
     std::string key = Trim(h.substr(0, colon));
     std::string value = Trim(h.substr(colon + 1));
     if (key == "oracle") {
@@ -245,10 +280,13 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
     } else if (key == "profile") {
       profile_name = value;
     } else if (key == "seed") {
-      try {
-        c.seed = static_cast<unsigned>(std::stoul(value));
-      } catch (...) {
-        return fail("bad seed `" + value + "`");
+      // A whole unsigned decimal that fits: no sign, no trailing text.
+      const char* last = value.data() + value.size();
+      auto [ptr, ec] = std::from_chars(value.data(), last, c.seed);
+      if (ec != std::errc() || ptr != last) {
+        const size_t col = colon + 1 + Indent(h.substr(colon + 1));
+        return fail(PositionedError(hl.line, static_cast<int>(col) + 1,
+                                    "bad seed `" + value + "`"));
       }
     } else {
       return fail("unknown header key `" + key + "`");
@@ -273,7 +311,8 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
     } else if (sec.header == "instance") {
       Instance inst(c.profile.vocab);
       bool have_elements = false;
-      for (const std::string& raw : sec.lines) {
+      for (size_t li = 0; li < sec.lines.size(); ++li) {
+        const std::string& raw = sec.lines[li];
         std::string t = Trim(raw);
         if (t.empty()) continue;
         if (!have_elements) {
@@ -291,9 +330,12 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
         if (t.back() != '.') return fail("instance: fact without `.`");
         Fact f(kNoPred, {});
         std::string err;
+        size_t at = 0;
         if (!ParseFactBody(t.substr(0, t.size() - 1), c.profile.vocab,
-                           inst.num_elements(), &f, &err)) {
-          return fail("instance: " + err);
+                           inst.num_elements(), &f, &err, &at)) {
+          return fail(PositionedError(sec.line + 1 + static_cast<int>(li),
+                                      static_cast<int>(Indent(raw) + at) + 1,
+                                      "instance: " + err));
         }
         inst.AddFact(f);
       }
@@ -302,7 +344,8 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
     } else if (sec.header == "schedule") {
       size_t instance_elems =
           c.instance.has_value() ? c.instance->num_elements() : 0;
-      for (const std::string& raw : sec.lines) {
+      for (size_t li = 0; li < sec.lines.size(); ++li) {
+        const std::string& raw = sec.lines[li];
         std::string t = Trim(raw);
         if (t.empty()) continue;
         if (t == "step") {
@@ -316,9 +359,13 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
         }
         Fact f(kNoPred, {});
         std::string err;
+        size_t at = 0;
         if (!ParseFactBody(t.substr(1, t.size() - 2), c.profile.vocab,
-                           instance_elems, &f, &err)) {
-          return fail("schedule: " + err);
+                           instance_elems, &f, &err, &at)) {
+          // The fact body starts after the sign, one column further in.
+          const size_t col = Indent(raw) + 1 + at + 1;
+          return fail(PositionedError(sec.line + 1 + static_cast<int>(li),
+                                      static_cast<int>(col), "schedule: " + err));
         }
         if (t[0] == '+') {
           c.schedule.back().inserts.push_back(f);

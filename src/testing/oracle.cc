@@ -67,7 +67,7 @@ std::optional<std::string> DiffSequences(const Instance& a, const Instance& b,
 // --- eval-differential ------------------------------------------------------
 // Port of tests/eval_differential_test.cc: naive reference vs semi-naive
 // at 1 and 4 threads — same set vs the oracle, same *sequence* and stats
-// across thread counts, and dataflow pruning invisible with it off.
+// across thread counts.
 
 class EvalOracle : public Oracle {
  public:
@@ -103,22 +103,6 @@ class EvalOracle : public Oracle {
     if (stats1.iterations != stats4.iterations) {
       return Fail(c, "iterations differs across thread counts");
     }
-
-    EvalOptions off1{1}, off4{4};
-    off1.dataflow_prune = false;
-    off4.dataflow_prune = false;
-    EvalStats stats_off1;
-    Instance noprune1 = FpEval(program, inst, &stats_off1, off1);
-    Instance noprune4 = FpEval(program, inst, nullptr, off4);
-    if (stats_off1.rules_pruned != 0) {
-      return Fail(c, "rules_pruned nonzero with pruning off");
-    }
-    if (auto d = DiffSequences(semi1, noprune1, "pruned vs unpruned 1T")) {
-      return Fail(c, *d);
-    }
-    if (auto d = DiffSequences(semi1, noprune4, "pruned 1T vs unpruned 4T")) {
-      return Fail(c, *d);
-    }
     return Pass();
   }
 };
@@ -126,7 +110,7 @@ class EvalOracle : public Oracle {
 // --- plan-differential ------------------------------------------------------
 // Port of tests/plan_differential_test.cc: the stats-driven planner
 // agrees with the naive oracle, is deterministic across threads,
-// invariant under planner/pruning toggles, and never executes a cross
+// invariant under the planner toggle, and never executes a cross
 // product on a connected join graph.
 
 /// True when the rule's join graph — body atoms as nodes, edges between
@@ -214,13 +198,12 @@ class PlanOracle : public Oracle {
     CompiledProgram compiled(program);
     Instance naive = NaiveFpEval(program, inst);
 
-    // 1. Stats-driven vs the naive oracle (gates forced open: the
-    // planner and the pruning, not their size gates, are under test).
+    // 1. Stats-driven vs the naive oracle (gate forced open: the
+    // planner, not its size gate, is under test).
     EvalOptions opt1;
     opt1.num_threads = 1;
     opt1.plan_stats = true;
     opt1.stats_min_facts = 0;
-    opt1.dataflow_min_facts = 0;
     EvalStats stats1;
     Instance semi1 = compiled.Eval(inst, &stats1, opt1);
     if (auto d = DiffSets(naive, semi1, "naive vs stats-driven 1T")) {
@@ -265,33 +248,8 @@ class PlanOracle : public Oracle {
         }
       }
     }
-    const std::vector<bool> dead = DeadRuleMask(program, inst);
-    size_t n_dead = 0;
-    for (bool d : dead) n_dead += d ? 1 : 0;
-    if (n_dead < dead.size() && !saw_seat) {
+    if (!program.rules().empty() && !saw_seat) {
       return Fail(c, "plan_stats produced no seat observations");
-    }
-    if (stats1.rules_pruned != n_dead) {
-      return Fail(c, "rules_pruned " + std::to_string(stats1.rules_pruned) +
-                         " != dead-rule count " + std::to_string(n_dead));
-    }
-
-    // 5. Dataflow pruning off: byte-identical sequences, both threads.
-    EvalOptions opt_noprune1 = opt1;
-    opt_noprune1.dataflow_prune = false;
-    EvalOptions opt_noprune4 = opt4;
-    opt_noprune4.dataflow_prune = false;
-    EvalStats stats_np;
-    Instance noprune1 = compiled.Eval(inst, &stats_np, opt_noprune1);
-    Instance noprune4 = compiled.Eval(inst, nullptr, opt_noprune4);
-    if (stats_np.rules_pruned != 0) {
-      return Fail(c, "rules_pruned nonzero with pruning off");
-    }
-    if (auto d = DiffSequences(semi1, noprune1, "pruned vs unpruned 1T")) {
-      return Fail(c, *d);
-    }
-    if (auto d = DiffSequences(semi1, noprune4, "pruned 1T vs unpruned 4T")) {
-      return Fail(c, *d);
     }
     return Pass();
   }
@@ -498,7 +456,7 @@ class MaintenanceOracle : public Oracle {
 };
 
 // --- dataflow-soundness -----------------------------------------------------
-// Port of tests/dataflow_soundness_test.cc's four TEST_P properties (the
+// Port of tests/dataflow_soundness_test.cc's three TEST_P properties (the
 // deterministic cases stay in the test file). The instance-free arms are
 // gated on the case's actual content — no seeded IDB facts — rather than
 // the historical seed parity, so shrunk cases remain fully checkable.
@@ -599,50 +557,8 @@ class DataflowOracle : public Oracle {
         }
       }
     }
-    if (DeadRuleMask(program, inst) != er.rule_dead) {
-      return Fail(c, "DeadRuleMask disagrees with seeded analysis");
-    }
 
-    // 3. Pruning is bit-identical (and saves, never adds, iterations).
-    EvalOptions on1{1}, on4{4}, off1{1}, off4{4};
-    on1.dataflow_min_facts = 0;
-    on4.dataflow_min_facts = 0;
-    off1.dataflow_prune = false;
-    off4.dataflow_prune = false;
-    EvalStats s_on1, s_on4, s_off1, s_off4;
-    Instance r_on1 = FpEval(program, inst, &s_on1, on1);
-    Instance r_on4 = FpEval(program, inst, &s_on4, on4);
-    Instance r_off1 = FpEval(program, inst, &s_off1, off1);
-    Instance r_off4 = FpEval(program, inst, &s_off4, off4);
-    if (auto d = DiffSequences(r_on1, r_off1, "prune-on vs off 1T")) {
-      return Fail(c, *d);
-    }
-    if (auto d = DiffSequences(r_on1, r_on4, "prune-on 1T vs 4T")) {
-      return Fail(c, *d);
-    }
-    if (auto d = DiffSequences(r_on1, r_off4, "prune-on 1T vs off 4T")) {
-      return Fail(c, *d);
-    }
-    if (s_on1.facts_derived != s_off1.facts_derived) {
-      return Fail(c, "facts_derived differ with pruning");
-    }
-    if (s_on1.iterations > s_off1.iterations) {
-      return Fail(c, "pruning increased iterations");
-    }
-    if (s_on1.rules_pruned != s_on4.rules_pruned) {
-      return Fail(c, "rules_pruned differ across thread counts");
-    }
-    if (s_off1.rules_pruned != 0) {
-      return Fail(c, "rules_pruned nonzero with pruning off");
-    }
-    const std::vector<bool> dead = DeadRuleMask(program, inst);
-    size_t n_dead = 0;
-    for (bool d : dead) n_dead += d ? 1 : 0;
-    if (s_on1.rules_pruned != n_dead) {
-      return Fail(c, "rules_pruned != dead-rule count");
-    }
-
-    // 4. Dropping subsumed rules / redundant atoms preserves the fixpoint.
+    // 3. Dropping subsumed rules / redundant atoms preserves the fixpoint.
     SubsumptionResult sr = AnalyzeSubsumption(program);
     if (sr.subsumed_by.size() != program.rules().size()) {
       return Fail(c, "subsumed_by size mismatch");
@@ -867,13 +783,12 @@ class TmOracle : public Oracle {
 
 // --- antichain-inclusion ----------------------------------------------------
 // The lazy antichain inclusion check against every other way the library
-// can decide the same question: the unpruned lazy walk (escape hatch),
-// the explicit Complement + product-emptiness route (both materialized
-// and via LazyProductEmptiness), and a brute-force sweep of the
-// enumerable code universe. The first three are exact over the shared
-// universe, so their verdicts must be *equal*; the enumeration is a
-// sound refuter only (a separating code can be larger than the
-// enumerated depth), so it participates in the sound directions:
+// can decide the same question: the explicit Complement + product-
+// emptiness route (both materialized and via LazyProductEmptiness), and
+// a brute-force sweep of the enumerable code universe. The first two are
+// exact over the shared universe, so their verdicts must be *equal*; the
+// enumeration is a sound refuter only (a separating code can be larger
+// than the enumerated depth), so it participates in the sound directions:
 // enumerated separating code => not included, and every non-inclusion
 // witness must itself be accepted by `a` and rejected by `b`.
 
@@ -909,12 +824,6 @@ class AntichainOracle : public Oracle {
     universe.Merge(SymbolsOf(b));
 
     const NtaInclusionResult anti = NtaIncluded(a, b, universe);
-    NtaInclusionOptions no_prune;
-    no_prune.antichain_prune = false;
-    const NtaInclusionResult plain = NtaIncluded(a, b, universe, no_prune);
-    if (anti.included != plain.included) {
-      return Fail(c, "antichain vs unpruned lazy verdicts differ");
-    }
 
     // Explicit route: complement, then product emptiness two ways.
     const Nta comp = Complement(b, universe);
@@ -948,28 +857,20 @@ class AntichainOracle : public Oracle {
                          ") than Determinize built (" +
                          std::to_string(det.num_states()) + ")");
     }
-    if (anti.pairs_explored > plain.pairs_explored) {
-      return Fail(c, "pruning increased the explored pair count");
-    }
-    if (plain.subsumption_prunes != 0) {
-      return Fail(c, "subsumption_prunes nonzero with pruning off");
-    }
 
-    // Witness contract, for both lazy routes.
-    for (const NtaInclusionResult* r : {&anti, &plain}) {
-      if (r->included != !r->witness.has_value()) {
-        return Fail(c, "witness presence disagrees with the verdict");
+    // Witness contract.
+    if (anti.included != !anti.witness.has_value()) {
+      return Fail(c, "witness presence disagrees with the verdict");
+    }
+    if (anti.witness.has_value()) {
+      if (!anti.witness->Validate() || anti.witness->width != a.width()) {
+        return Fail(c, "malformed non-inclusion witness");
       }
-      if (r->witness.has_value()) {
-        if (!r->witness->Validate() || r->witness->width != a.width()) {
-          return Fail(c, "malformed non-inclusion witness");
-        }
-        if (!a.Accepts(*r->witness)) {
-          return Fail(c, "non-inclusion witness rejected by a");
-        }
-        if (b.Accepts(*r->witness)) {
-          return Fail(c, "non-inclusion witness accepted by b");
-        }
+      if (!a.Accepts(*anti.witness)) {
+        return Fail(c, "non-inclusion witness rejected by a");
+      }
+      if (b.Accepts(*anti.witness)) {
+        return Fail(c, "non-inclusion witness accepted by b");
       }
     }
 

@@ -143,12 +143,6 @@ Instance ViewSet::Image(const Instance& inst, EvalStats* stats) const {
   return fixpoint.RestrictTo(ViewPreds());
 }
 
-Instance ViewSet::Image(const Instance& inst, EvalStats* stats,
-                        const EvalOptions& options) const {
-  Instance fixpoint = Compiled().Eval(inst, stats, options);
-  return fixpoint.RestrictTo(ViewPreds());
-}
-
 const CompiledProgram& ViewSet::Compiled() const {
   if (!compiled_) {
     compiled_ = std::make_shared<const CompiledProgram>(CombinedProgram());

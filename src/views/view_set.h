@@ -14,7 +14,6 @@
 namespace mondet {
 
 class CompiledProgram;
-struct EvalOptions;
 struct EvalStats;
 
 /// One view (V, Q_V): a view predicate together with its Datalog definition
@@ -71,11 +70,6 @@ class ViewSet {
   /// compiled view program; pass `stats` to collect evaluation counters.
   Instance Image(const Instance& inst) const;
   Instance Image(const Instance& inst, EvalStats* stats) const;
-  /// As above with caller-chosen evaluation options — the canonical-test
-  /// loop images thousands of small expansions per check and turns the
-  /// per-instance dataflow analysis off for them.
-  Instance Image(const Instance& inst, EvalStats* stats,
-                 const EvalOptions& options) const;
 
   /// Π_V: the union of all view definition rules (goal = view predicate).
   Program CombinedProgram() const;

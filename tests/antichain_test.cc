@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -40,19 +41,6 @@ Nta UniversalNta() {
   }
   m.AddFinal(q);
   return m;
-}
-
-bool CodesIdentical(const TreeCode& x, const TreeCode& y) {
-  if (x.width != y.width || x.nodes.size() != y.nodes.size()) return false;
-  for (size_t i = 0; i < x.nodes.size(); ++i) {
-    if (!(x.nodes[i].atoms == y.nodes[i].atoms) ||
-        x.nodes[i].children != y.nodes[i].children ||
-        !(x.nodes[i].edge_labels == y.nodes[i].edge_labels) ||
-        x.nodes[i].parent != y.nodes[i].parent) {
-      return false;
-    }
-  }
-  return true;
 }
 
 TEST(NtaIncluded, SelfInclusionOnRandomAutomata) {
@@ -123,21 +111,6 @@ TEST(NtaIncluded, SubsumptionPruneFiresOnGrowingMacrostate) {
   EXPECT_EQ(r.subsumption_prunes, 1u);
   EXPECT_EQ(r.macrostates_visited, 1u);
   EXPECT_EQ(r.pairs_explored, 1u);
-}
-
-TEST(NtaIncluded, PruningOffExploresNoFewerPairsAndNeverPrunes) {
-  NtaInclusionOptions off;
-  off.antichain_prune = false;
-  for (unsigned seed = 0; seed < 30; ++seed) {
-    Nta a = RandomNta(41000 + seed);
-    Nta b = RandomNta(43000 + seed);
-    SymbolUniverse u = MergedUniverse(a, b);
-    NtaInclusionResult anti = NtaIncluded(a, b, u);
-    NtaInclusionResult plain = NtaIncluded(a, b, u, off);
-    EXPECT_EQ(anti.included, plain.included) << "seed " << seed;
-    EXPECT_LE(anti.pairs_explored, plain.pairs_explored) << "seed " << seed;
-    EXPECT_EQ(plain.subsumption_prunes, 0u);
-  }
 }
 
 TEST(NtaIncluded, MacrostatesStrictlyBelowDeterminizedStates) {
@@ -215,9 +188,21 @@ TEST(LazyProduct, BinaryIntersectionIsFound) {
   EXPECT_TRUE(a.Accepts(*r.witness));
 }
 
-// --- Thm 5 / containment byte-identity regression arm ----------------------
+// --- Thm 5 / containment counterexample goldens --------------------------
+//
+// Each Thm 5 counterexample is pinned by its TreeCode::DebugString: the
+// containment walk interns pairs in a fixed order, so its witness is
+// the lowest-id bad pair of the full fixpoint and must never drift.
+// Thm5VsCanonical (property_test.cc) is the verdict reference.
 
-TEST(ContainmentAntichain, DatalogInUcqBitIdenticalOnOrOff) {
+/// The counterexample every failing random view set below produces.
+constexpr char kRandomViewsWitness[] =
+    "node 0 [] ->1{0=0 } ->3{0=0 1=1 }\n"
+    "node 1 [E2(0,1)] ->2{1=0 }\n"
+    "node 2 [E1(0)]\n"
+    "node 3 [E2(0,1)]\n";
+
+TEST(ContainmentGolden, DatalogInUcqCounterexamples) {
   auto vocab = MakeVocabulary();
   std::string error;
   std::vector<Diagnostic> diags;
@@ -228,36 +213,30 @@ TEST(ContainmentAntichain, DatalogInUcqBitIdenticalOnOrOff) {
   )",
                       "Goal", vocab, &diags);
   ASSERT_TRUE(q) << FormatDiagnostics(diags);
-  std::vector<std::string> targets = {
-      "C() :- U(x).",
-      "C() :- R(x,x).",
-      "C() :- R(x,y), R(y,z).",
+  struct Golden {
+    std::string target;
+    const char* witness;  // nullptr = contained
   };
-  ContainmentOptions off;
-  off.antichain = false;
-  for (const std::string& t : targets) {
+  const Golden goldens[] = {
+      {"C() :- U(x).", nullptr},
+      {"C() :- R(x,x).", "node 0 [] ->1{0=0 }\nnode 1 [U(0)]\n"},
+      {"C() :- R(x,y), R(y,z).", "node 0 [] ->1{0=0 }\nnode 1 [U(0)]\n"},
+  };
+  for (const Golden& g : goldens) {
     UCQ ucq(vocab);
-    ucq.AddDisjunct(*ParseCq(t, vocab, &error));
-    ContainmentResult on_r = DatalogContainedInUcq(*q, ucq);
-    ContainmentResult off_r = DatalogContainedInUcq(*q, ucq, off);
-    EXPECT_EQ(on_r.contained, off_r.contained) << t;
-    ASSERT_EQ(on_r.counterexample.has_value(),
-              off_r.counterexample.has_value())
-        << t;
-    if (on_r.counterexample.has_value()) {
-      EXPECT_TRUE(CodesIdentical(*on_r.counterexample, *off_r.counterexample))
-          << t;
+    ucq.AddDisjunct(*ParseCq(g.target, vocab, &error));
+    ContainmentResult r = DatalogContainedInUcq(*q, ucq);
+    EXPECT_EQ(r.contained, g.witness == nullptr) << g.target;
+    ASSERT_EQ(r.counterexample.has_value(), g.witness != nullptr) << g.target;
+    if (g.witness != nullptr) {
+      EXPECT_EQ(r.counterexample->width, 2) << g.target;
+      EXPECT_EQ(r.counterexample->DebugString(*vocab), g.witness) << g.target;
     }
-    // Work accounting: the pruned pass never explores more pairs, the
-    // escape hatch never prunes, and both report their macrostates.
-    EXPECT_LE(on_r.pairs_explored, off_r.pairs_explored) << t;
-    EXPECT_EQ(off_r.subsumption_prunes, 0u);
-    EXPECT_GT(on_r.macrostates_visited, 0u);
-    EXPECT_GT(off_r.macrostates_visited, 0u);
+    EXPECT_GT(r.macrostates_visited, 0u) << g.target;
   }
 }
 
-TEST(ContainmentAntichain, Thm5BitIdenticalOnGoldenCases) {
+TEST(ContainmentGolden, Thm5GoldenCase) {
   auto vocab = MakeVocabulary();
   std::string error;
   auto q = ParseCq("Q() :- R(x,y), R(y,z).", vocab, &error);
@@ -268,22 +247,20 @@ TEST(ContainmentAntichain, Thm5BitIdenticalOnGoldenCases) {
   ASSERT_TRUE(def) << FormatDiagnostics(diags);
   ViewSet views(vocab);
   views.AddView("VW", *def);
-  ContainmentOptions off;
-  off.antichain = false;
-  Thm5Result on_r = CheckCqOverDatalogViews(*q, views);
-  Thm5Result off_r = CheckCqOverDatalogViews(*q, views, off);
-  EXPECT_FALSE(on_r.determined);
-  EXPECT_EQ(on_r.determined, off_r.determined);
-  ASSERT_TRUE(on_r.counterexample.has_value());
-  ASSERT_TRUE(off_r.counterexample.has_value());
-  EXPECT_TRUE(CodesIdentical(*on_r.counterexample, *off_r.counterexample));
-  EXPECT_GT(on_r.macrostates_visited, 0u);
-  EXPECT_EQ(off_r.subsumption_prunes, 0u);
+  Thm5Result r = CheckCqOverDatalogViews(*q, views);
+  EXPECT_FALSE(r.determined);
+  ASSERT_TRUE(r.counterexample.has_value());
+  EXPECT_EQ(r.counterexample->width, 2);
+  EXPECT_EQ(r.counterexample->DebugString(*vocab),
+            "node 0 [] ->1{0=0 } ->2{1=0 }\n"
+            "node 1 [R(0,1)]\n"
+            "node 2 [R(0,1)]\n");
+  EXPECT_GT(r.macrostates_visited, 0u);
 }
 
-TEST(ContainmentAntichain, Thm5BitIdenticalOnRandomViewSets) {
-  ContainmentOptions off;
-  off.antichain = false;
+TEST(ContainmentGolden, Thm5RandomViewSets) {
+  // Seeds whose views do not determine the query; the rest are determined.
+  const std::vector<unsigned> failing = {2, 5, 8, 11};
   for (unsigned seed = 0; seed < 12; ++seed) {
     testing::GenProfile profile = testing::EvalProfile();
     std::vector<testing::ViewSpec> specs =
@@ -292,14 +269,15 @@ TEST(ContainmentAntichain, Thm5BitIdenticalOnRandomViewSets) {
     std::string error;
     auto q = ParseCq("Q() :- E1(x), E2(x,y).", profile.vocab, &error);
     ASSERT_TRUE(q) << error;
-    Thm5Result on_r = CheckCqOverDatalogViews(*q, views);
-    Thm5Result off_r = CheckCqOverDatalogViews(*q, views, off);
-    EXPECT_EQ(on_r.determined, off_r.determined) << "seed " << seed;
-    ASSERT_EQ(on_r.counterexample.has_value(),
-              off_r.counterexample.has_value())
-        << "seed " << seed;
-    if (on_r.counterexample.has_value()) {
-      EXPECT_TRUE(CodesIdentical(*on_r.counterexample, *off_r.counterexample))
+    Thm5Result r = CheckCqOverDatalogViews(*q, views);
+    const bool fails = std::find(failing.begin(), failing.end(), seed) !=
+                       failing.end();
+    EXPECT_EQ(r.determined, !fails) << "seed " << seed;
+    ASSERT_EQ(r.counterexample.has_value(), fails) << "seed " << seed;
+    if (fails) {
+      EXPECT_EQ(r.counterexample->width, 2) << "seed " << seed;
+      EXPECT_EQ(r.counterexample->DebugString(*profile.vocab),
+                kRandomViewsWitness)
           << "seed " << seed;
     }
   }

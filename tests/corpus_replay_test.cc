@@ -76,8 +76,18 @@ TEST(CorpusReplay, SerializationRoundTripsByteExact) {
   }
 }
 
-TEST(CorpusReplay, MalformedViewSectionsAreRejectedWithPosition) {
+TEST(CorpusReplay, MalformedCasesAreRejectedWithPosition) {
   const std::map<std::string, std::string> want = {
+      {"element-out-of-range.repro",
+       "error[repro] line 9:8: instance: element `e7` out of range "
+       "(2 elements)"},
+      {"element-trailing-text.repro",
+       "error[repro] line 9:4: instance: malformed element `e1x`"},
+      {"schedule-element-negative.repro",
+       "error[repro] line 12:5: schedule: malformed element `e-1`"},
+      {"seed-negative.repro", "error[repro] line 3:7: bad seed `-1`"},
+      {"seed-overflow.repro", "error[repro] line 3:7: bad seed `99999999999`"},
+      {"seed-trailing-text.repro", "error[repro] line 3:7: bad seed `5abc`"},
       {"view-bad-rule.repro",
        "view VReach: error[parse] line 12:23: expected ',' or ')'"},
       {"view-name-clash.repro",

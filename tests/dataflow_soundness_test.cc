@@ -3,12 +3,11 @@
 //
 //   * randomized arm — the concrete fixpoint is contained in the
 //     concretization of the abstract emptiness/constant-set fixpoint,
-//     rules flagged dead never fire, pruning is bit-identical at 1 and 4
-//     threads, and dropping subsumed rules / redundant atoms preserves
-//     the fixpoint. The generator and checker live in the shared
-//     randomized-testing library (testing/oracle.h, oracle
-//     `dataflow-soundness`); `mondet-fuzz` drives the same property over
-//     open-ended seed ranges with shrinking.
+//     rules flagged dead never fire, and dropping subsumed rules /
+//     redundant atoms preserves the fixpoint. The generator and checker
+//     live in the shared randomized-testing library (testing/oracle.h,
+//     oracle `dataflow-soundness`); `mondet-fuzz` drives the same
+//     property over open-ended seed ranges with shrinking.
 //   * deterministic arm — hand-built adornment, emptiness and
 //     subsumption cases with exact expected analysis output.
 
@@ -29,7 +28,7 @@ namespace {
 
 class DataflowSoundness : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(DataflowSoundness, AnalysesSoundAndPruningInvisible) {
+TEST_P(DataflowSoundness, AnalysesSound) {
   const testing::Oracle* oracle = testing::FindOracle("dataflow-soundness");
   ASSERT_NE(oracle, nullptr);
   testing::OracleOutcome out = oracle->Check(oracle->Generate(GetParam()));

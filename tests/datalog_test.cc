@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <thread>
+
 #include "base/homomorphism.h"
+#include "base/thread_pool.h"
 #include "datalog/approximation.h"
 #include "datalog/eval.h"
+#include "datalog/eval_plan.h"
 #include "datalog/fragment.h"
 #include "datalog/parser.h"
 #include "tests/test_util.h"
@@ -333,6 +341,36 @@ TEST(Approximation, DepthLimitsRespected) {
       });
   EXPECT_FALSE(exhaustive);  // cap of 5 hit before depth 20 exhausted
   EXPECT_EQ(count, 5u);
+}
+
+TEST(ResolveEvalThreads, EnvironmentParsedWholeAndCapped) {
+  const char* saved = std::getenv("MONDET_THREADS");
+  const std::optional<std::string> old =
+      saved ? std::optional<std::string>(saved) : std::nullopt;
+  const int cap = ThreadPool::Shared().num_threads() + 1;
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int fallback = std::min(hw > 0 ? static_cast<int>(hw) : 1, cap);
+  // Anything but a whole positive decimal falls back to the hardware.
+  for (const char* bad :
+       {"0", "-3", "4abc", "abc", "", " 2", "+2", "99999999999"}) {
+    setenv("MONDET_THREADS", bad, 1);
+    EXPECT_EQ(ResolveEvalThreads(0), fallback) << "`" << bad << "`";
+  }
+  setenv("MONDET_THREADS", "1", 1);
+  EXPECT_EQ(ResolveEvalThreads(0), 1);
+  setenv("MONDET_THREADS", "2", 1);
+  EXPECT_EQ(ResolveEvalThreads(0), 2);
+  // More workers than ParallelFor can run are capped, not allocated.
+  setenv("MONDET_THREADS", "2000000000", 1);
+  EXPECT_EQ(ResolveEvalThreads(0), cap);
+  // An explicit request wins over the environment and is capped alike.
+  EXPECT_EQ(ResolveEvalThreads(3), 3);
+  EXPECT_EQ(ResolveEvalThreads(1000000), cap);
+  if (old.has_value()) {
+    setenv("MONDET_THREADS", old->c_str(), 1);
+  } else {
+    unsetenv("MONDET_THREADS");
+  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // (testing/reference.h), the single-threaded semi-naive evaluator, and
 // the parallel semi-naive evaluator must all produce the same fixpoint,
 // and the two semi-naive runs the same fact *sequence* (determinism
-// across thread counts), with dataflow pruning invisible.
+// across thread counts).
 //
 // The generator and checker live in the shared randomized-testing
 // library (testing/oracle.h, oracle `eval-differential`) so the
