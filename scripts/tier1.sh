@@ -68,9 +68,12 @@ fi
 # identical sequences at 1 and 4 threads);
 # antichain_test is the lazy-inclusion arm: NtaIncluded vs the explicit
 # Complement+Product route, the Thm 5 counterexample goldens, and the
-# antichain-inclusion oracle seed sweep.
+# antichain-inclusion oracle seed sweep;
+# mondet_check_test and separator_test drive the canonical-test loops,
+# which re-bind one CompiledProgram's orders (BindStats) between their
+# inner evaluations and move each D' into Eval.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
-cmake --build build-asan -j "$JOBS" --target eval_differential_test plan_differential_test kernel_differential_test stats_test plan_convergence_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test mondet-fuzz
+cmake --build build-asan -j "$JOBS" --target eval_differential_test plan_differential_test kernel_differential_test stats_test plan_convergence_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test mondet_check_test separator_test mondet-fuzz
 MONDET_THREADS=1 ./build-asan/tests/eval_differential_test
 MONDET_THREADS=4 ./build-asan/tests/eval_differential_test
 ./build-asan/tests/dataflow_soundness_test
@@ -84,6 +87,8 @@ MONDET_THREADS=4 ./build-asan/tests/maintenance_differential_test
 MONDET_THREADS=4 ./build-asan/tests/mondet_parallel_test
 MONDET_THREADS=1 ./build-asan/tests/antichain_test
 MONDET_THREADS=4 ./build-asan/tests/antichain_test
+./build-asan/tests/mondet_check_test
+./build-asan/tests/separator_test
 
 # Fuzz smoke arm: mondet-fuzz over every registered oracle at fixed
 # seeds under ASan/UBSan (~10s). Deterministic — the same seeds every

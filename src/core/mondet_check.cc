@@ -123,7 +123,10 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
   }
 
   // The query program is evaluated on every candidate D'; compile it once.
+  // Each block re-binds it (below); `unbound` keeps the compile-time
+  // orders for blocks without a snapshot once something is bound.
   CompiledProgram compiled_query(query.program);
+  std::optional<CompiledProgram> unbound;
 
   // Pre-enumerate view definition expansions.
   std::map<PredId, std::vector<Expansion>> view_exps;
@@ -216,19 +219,37 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
     // One statistics snapshot per block, collected from the first
     // buildable D': every test's D' assembles the same view expansions
     // over the same image facts, so one test's counts describe them all
-    // well. The snapshot spares each of the (up to `cap`) inner Evals its
-    // own live collection — stale stats stay correct by construction —
-    // and, being built sequentially before the fan-out, keeps the planned
-    // orders identical at every thread count.
-    std::optional<Stats> block_stats;
+    // well. The block plans its join orders once from the snapshot
+    // (BindStats) and every inner Eval runs them with the planner off —
+    // no per-test collection or planning, and stale stats stay correct by
+    // construction. Binding happens sequentially before the fan-out, so
+    // the orders are identical at every thread count. A block with no
+    // buildable probe runs the compile-time orders with the default
+    // planner, never an earlier block's binding.
+    EvalOptions eopts;
+    eopts.num_threads = 1;
+    const CompiledProgram* block_query = nullptr;
     {
       std::vector<const Expansion*> probe_choice;
       const size_t probe_limit = std::min<size_t>(block, 4);
-      for (size_t t = 0; t < probe_limit && !block_stats; ++t) {
+      for (size_t t = 0; t < probe_limit; ++t) {
         decode(t, &probe_choice);
         std::optional<Instance> dprime =
             BuildDPrime(vocab, image, probe_choice, qi.inst.num_elements());
-        if (dprime) block_stats = Stats::Collect(*dprime);
+        if (dprime) {
+          compiled_query.BindStats(Stats::Collect(*dprime));
+          block_query = &compiled_query;
+          eopts.stats_planner = false;
+          break;
+        }
+      }
+    }
+    if (block_query == nullptr) {
+      if (compiled_query.bound_stats() == nullptr) {
+        block_query = &compiled_query;
+      } else {
+        if (!unbound) unbound.emplace(query.program);
+        block_query = &*unbound;
       }
     }
 
@@ -246,10 +267,7 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
       // paper states the Boolean case; the tuple version is the natural
       // non-Boolean extension). Inner evaluations stay single-threaded —
       // the parallelism budget is spent on the test fan-out.
-      EvalOptions eopts;
-      eopts.num_threads = 1;
-      if (block_stats) eopts.stats = &*block_stats;
-      const bool holds = compiled_query.Eval(*dprime, nullptr, eopts)
+      const bool holds = block_query->Eval(std::move(*dprime), nullptr, eopts)
                              .HasFact(query.goal, qi.frontier);
       if (!holds) {
         size_t cur = best.load(std::memory_order_relaxed);

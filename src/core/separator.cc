@@ -2,7 +2,6 @@
 
 #include <functional>
 #include <map>
-#include <optional>
 
 #include "base/check.h"
 #include "base/homomorphism.h"
@@ -83,7 +82,8 @@ bool ChaseSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
                            const Instance& j, int view_depth,
                            size_t max_choices) {
   const VocabularyPtr& vocab = query.program.vocab();
-  // The query program runs on every chase witness; compile it once.
+  // The query program runs on every chase witness; compile it once. Its
+  // orders are bound from the first witness' statistics (below).
   CompiledProgram compiled_query(query.program);
   // Pre-enumerate expansions of each view definition.
   std::map<PredId, std::vector<Expansion>> view_exps;
@@ -101,7 +101,6 @@ bool ChaseSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
   std::vector<const Expansion*> choice(nfacts, nullptr);
   size_t tried = 0;
   bool all_hold = true;
-  std::optional<Stats> chase_stats;
   std::function<bool(size_t)> descend = [&](size_t fi) -> bool {
     if (tried >= max_choices) return false;
     if (fi == nfacts) {
@@ -130,13 +129,15 @@ bool ChaseSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
         }
       }
       // Every chase witness assembles the same view expansions over J's
-      // facts; statistics from the first one describe them all, and the
-      // snapshot spares the remaining Evals their own live collection
-      // (stale stats are correct by construction).
-      if (!chase_stats) chase_stats = Stats::Collect(dprime);
+      // facts; statistics from the first one describe them all, so the
+      // orders are planned once from them and every Eval runs those with
+      // the planner off (stale stats are correct by construction).
+      if (compiled_query.bound_stats() == nullptr) {
+        compiled_query.BindStats(Stats::Collect(dprime));
+      }
       EvalOptions eopts;
-      eopts.stats = &*chase_stats;
-      if (compiled_query.Eval(dprime, nullptr, eopts)
+      eopts.stats_planner = false;
+      if (compiled_query.Eval(std::move(dprime), nullptr, eopts)
               .NumRows(query.goal) == 0) {
         all_hold = false;
         return false;

@@ -351,23 +351,27 @@ void CompiledProgram::RunItem(const WorkItem& item, const Instance& target,
 
 Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
                                const EvalOptions& options) const {
+  return Eval(Instance(input), stats, options);
+}
+
+Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
+                               const EvalOptions& options) const {
   auto t_start = std::chrono::steady_clock::now();
-  Instance result = input;
+  // The size gates below read the input as passed; `result` takes it over
+  // and grows from there.
+  const size_t input_facts = input.num_facts();
+  Instance result = std::move(input);
   const int nthreads = ResolveEvalThreads(options.num_threads);
   EvalStats run;
 
-  // Which statistics drive planning this run. With the stats planner on
-  // (the default) and no caller-supplied snapshot, collect live stats
-  // from the evolving result and re-plan as relations grow; a snapshot
-  // plans every stratum once (stale-tolerant); with the planner off —
-  // or on an input too small for planning to pay for itself — the
-  // compile-time orders run as-is. Live statistics are recounted at each
-  // planning point (stratum entry, re-plan), so every plan reads exact
-  // counts.
-  const bool use_stats =
-      options.stats_planner &&
-      (options.stats != nullptr ||
-       input.num_facts() >= options.stats_min_facts);
+  // With the stats planner on (the default), collect live stats from the
+  // evolving result and re-plan as relations grow; with the planner off —
+  // or on an input too small for planning to pay for itself — the stored
+  // orders (compile-time or BindStats) run as-is. Live statistics are
+  // recounted at each planning point (stratum entry, re-plan), so every
+  // plan reads exact counts.
+  const bool live_stats =
+      options.stats_planner && input_facts >= options.stats_min_facts;
   // Kernel lowering is a per-(rule, seat) fixed cost; below the size
   // gate the generic interpreter is strictly cheaper (kernel_min_facts
   // doc in eval_plan.h). The second clause scales the gate with program
@@ -380,15 +384,10 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
   // would be correct (they are bit-identical) but would waste the
   // already-built kernels.
   const bool use_kernels =
-      options.compiled_kernels &&
-      input.num_facts() >= options.kernel_min_facts &&
-      (options.kernel_min_facts == 0 ||
-       input.num_facts() >= plans_.size() * 4);
-  const bool live_stats = use_stats && options.stats == nullptr;
+      options.compiled_kernels && input_facts >= options.kernel_min_facts &&
+      (options.kernel_min_facts == 0 || input_facts >= plans_.size() * 4);
   Stats live;
   if (live_stats) live = Stats::Collect(result);
-  const Stats* planning =
-      use_stats ? (options.stats ? options.stats : &live) : nullptr;
 
   // Runs one round of work items, merges their derivations into `result`
   // in item order — this makes the fact insertion order independent of
@@ -457,13 +456,15 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
 
     // The join orders this stratum runs with: per (plan-in-stratum, seat),
     // seat 0 = the initial full join, seat 1 + i = recursive atom i.
-    // Planned from `planning` when set, else the compile-time orders.
-    // `actual` accumulates measured per-step rows (plan_stats only) and
-    // resets on re-plan so it always matches the order it was measured
-    // under.
+    // Planned live into `planned`/`planned_est`, else pointing at the
+    // stored orders, which are not copied. `actual` accumulates measured
+    // per-step rows (plan_stats only) and resets on re-plan so it always
+    // matches the order it was measured under.
     struct SeatPlan {
-      std::vector<uint32_t> order;
-      std::vector<double> est;
+      const std::vector<uint32_t>* order = nullptr;
+      const std::vector<double>* est = nullptr;
+      std::vector<uint32_t> planned;
+      std::vector<double> planned_est;
       std::vector<size_t> actual;
       size_t seedings = 0;
       JoinKernel kernel;
@@ -481,17 +482,19 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
         // After round 0 the full join (seat 0) never runs again, so
         // re-planning skips it.
         for (size_t s = initial ? 0 : 1; s < sp.size(); ++s) {
-          if (planning) {
-            sp[s].order = PlanOrder(plan, s, planning, &sp[s].est);
+          if (live_stats) {
+            sp[s].planned = PlanOrder(plan, s, &live, &sp[s].planned_est);
+            sp[s].order = &sp[s].planned;
+            sp[s].est = &sp[s].planned_est;
           } else {
-            sp[s].order = plan.orders[s];
-            sp[s].est = plan.est_rows[s];
+            sp[s].order = &plan.orders[s];
+            sp[s].est = &plan.est_rows[s];
           }
           // The planned order invalidates any kernel lowered from the
           // previous one; kernel_for re-lowers on the seat's next run.
           sp[s].kernel_state = 0;
           if (options.plan_stats) {
-            sp[s].actual.assign(sp[s].order.size(), 0);
+            sp[s].actual.assign(sp[s].order->size(), 0);
             sp[s].seedings = 0;
           }
         }
@@ -512,7 +515,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
           const int seat_atom =
               s == 0 ? -1 : plan.recursive_atoms[s - 1];
           sp.kernel = BuildKernel(plan.head, plan.body, plan.num_vars,
-                                  seat_atom, sp.order);
+                                  seat_atom, *sp.order);
           sp.kernel_state = 1;
         } else {
           sp.kernel_state = 2;
@@ -539,7 +542,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
     for (size_t k = 0; k < stratum.plans.size(); ++k) {
       WorkItem w;
       w.plan = stratum.plans[k];
-      w.order = &seats[k][0].order;
+      w.order = seats[k][0].order;
       w.kernel = kernel_for(k, 0);
       if (options.plan_stats) {
         w.step_rows = &seats[k][0].actual;
@@ -599,7 +602,7 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
           w.rec = r;
           w.delta_pred = it->first;
           w.delta_rows = &it->second;
-          w.order = &seats[k][1 + r].order;
+          w.order = seats[k][1 + r].order;
           w.kernel = kernel_for(k, 1 + r);
           if (options.plan_stats) {
             w.step_rows = &seats[k][1 + r].actual;
@@ -621,8 +624,8 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
           j.rule = pi;
           j.delta_atom =
               s == 0 ? -1 : plan.recursive_atoms[s - 1];
-          j.order = std::move(seats[k][s].order);
-          j.est_rows = std::move(seats[k][s].est);
+          j.order = *seats[k][s].order;
+          j.est_rows = *seats[k][s].est;
           j.actual_rows = std::move(seats[k][s].actual);
           j.seedings = seats[k][s].seedings;
           ss.seats.push_back(std::move(j));

@@ -25,26 +25,23 @@ struct EvalOptions {
   /// docs/EVALUATION.md for the determinism argument).
   int num_threads = 0;
   /// Statistics-driven join planning (the default): score join orders by
-  /// estimated selectivity from per-predicate statistics — `stats` when
-  /// set, otherwise statistics counted live from the evolving result,
-  /// recounted and re-planned at each stratum entry and whenever a
-  /// stratum relation doubles (docs/EVALUATION.md documents the cost
-  /// model). When false, Eval runs the compile-time orders: EDB-first
-  /// greedy, or the orders fixed by BindStats.
+  /// estimated selectivity from per-predicate statistics counted live
+  /// from the evolving result, recounted and re-planned at each stratum
+  /// entry and whenever a stratum relation doubles (docs/EVALUATION.md
+  /// documents the cost model). When false — or when the input is below
+  /// stats_min_facts — Eval runs the stored orders verbatim: EDB-first
+  /// greedy from compilation, or the orders BindStats planned from its
+  /// snapshot. Callers that evaluate many instances of one fact shape bind
+  /// a snapshot once and turn this off, so no Eval plans at all.
   bool stats_planner = true;
-  /// Plan from this (possibly stale) snapshot instead of collecting live
-  /// statistics; suppresses in-run re-planning. Stale stats can only
-  /// produce slower orders, never wrong results. Ignored when
-  /// stats_planner is false. Not owned; must outlive the Eval call.
-  const Stats* stats = nullptr;
-  /// The planner's own cost gate: below this many input facts, planning
-  /// cannot pay for itself, so Eval runs the compile-time orders. The
+  /// The planner's own cost gate: below this many input facts, live
+  /// planning cannot pay for itself, so Eval runs the stored orders. The
   /// per-run cost — a Collect plus a SelectivityAtomOrder pass per rule
   /// seat at every planning point — would dominate a µs-scale eval
   /// outright (the checker's canonical-test loops issue thousands of
-  /// those), so the gate sits at 64 facts. Set to 0 to force live planning on any input (the
-  /// differential and convergence tests do); a caller-supplied `stats`
-  /// snapshot bypasses the gate.
+  /// those), so the gate sits at 64 facts. The gate reads the input's
+  /// size as passed, before Eval takes it over. Set to 0 to force live
+  /// planning on any input (the differential and convergence tests do).
   size_t stats_min_facts = 64;
   /// Record the join order each (rule, delta seat) actually ran with,
   /// plus estimated vs. measured intermediate sizes, into
@@ -183,7 +180,9 @@ class CompiledProgram {
   /// cost model of `stats` and remembers the snapshot: DescribePlans then
   /// reports estimated intermediate sizes (so plan lints judge the plans
   /// against real numbers), and Eval with stats_planner=false runs these
-  /// stats-driven orders verbatim.
+  /// stats-driven orders verbatim, planning nothing per call. A later
+  /// BindStats re-plans every seat from the new snapshot. Not safe to call
+  /// while another thread is inside Eval on the same object.
   void BindStats(Stats stats);
 
   /// The snapshot from BindStats, or nullptr.
@@ -196,6 +195,11 @@ class CompiledProgram {
   /// any statistics (plans affect order of exploration, not the result).
   /// When `stats` is non-null the run's counters are accumulated into it.
   Instance Eval(const Instance& input, EvalStats* stats = nullptr,
+                const EvalOptions& options = {}) const;
+  /// As above, taking over `input` as the result's starting point instead
+  /// of copying it — for callers that build an instance only to evaluate
+  /// it once (the checker's D′ tests). Same facts, order and counters.
+  Instance Eval(Instance&& input, EvalStats* stats = nullptr,
                 const EvalOptions& options = {}) const;
 
   /// Eval plus derivation counting: the fixpoint of `input` whose facts

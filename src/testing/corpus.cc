@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -40,6 +41,45 @@ std::string PositionedError(int line, int col, const std::string& message) {
 size_t Indent(const std::string& s) {
   size_t b = s.find_first_not_of(" \t\r\n");
   return b == std::string::npos ? s.size() : b;
+}
+
+/// A blank-separated token of a section line and its 1-based column.
+struct Token {
+  std::string text;
+  int col = 0;
+};
+
+std::vector<Token> Tokenize(const std::string& raw) {
+  std::vector<Token> out;
+  size_t i = 0;
+  while ((i = raw.find_first_not_of(" \t\r\n", i)) != std::string::npos) {
+    size_t e = raw.find_first_of(" \t\r\n", i);
+    if (e == std::string::npos) e = raw.size();
+    out.push_back(Token{raw.substr(i, e - i), static_cast<int>(i) + 1});
+    i = e;
+  }
+  return out;
+}
+
+/// The value of a `<key> <value>` line: everything after the first token,
+/// trimmed, with its 1-based column (one past the line when empty).
+Token ValueAfterKey(const std::string& raw) {
+  const std::vector<Token> tok = Tokenize(raw);
+  if (tok.size() < 2) return Token{"", static_cast<int>(raw.size()) + 1};
+  return Token{Trim(raw.substr(tok[1].col - 1)), tok[1].col};
+}
+
+/// Parses `text` whole as an unsigned decimal of at most `max`: no sign,
+/// no trailing text, no overflow.
+template <typename T>
+bool ParseWhole(const std::string& text, T max, T* out) {
+  if (!text.empty() && text[0] == '-') return false;
+  const char* last = text.data() + text.size();
+  T v{};
+  auto [ptr, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc() || ptr != last || v > max) return false;
+  *out = v;
+  return true;
 }
 
 /// Parses one `Pred(e0,e3)` fact rendering (no sign, no trailing dot).
@@ -316,14 +356,18 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
         std::string t = Trim(raw);
         if (t.empty()) continue;
         if (!have_elements) {
-          std::istringstream hl(t);
-          std::string kw;
-          int n = -1;
-          hl >> kw >> n;
-          if (kw != "elements" || n < 0) {
+          if (Tokenize(raw)[0].text != "elements") {
             return fail("instance: expected `elements N`, got `" + t + "`");
           }
-          for (int i = 0; i < n; ++i) inst.AddElement();
+          const Token v = ValueAfterKey(raw);
+          size_t n = 0;
+          if (!ParseWhole(v.text, kMaxReproElements, &n)) {
+            return fail(PositionedError(
+                sec.line + 1 + static_cast<int>(li), v.col,
+                "instance: bad element count `" + v.text + "` (at most " +
+                    std::to_string(kMaxReproElements) + ")"));
+          }
+          inst.EnsureElements(n);
           have_elements = true;
           continue;
         }
@@ -413,23 +457,33 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
       view_pos.push_back(pos);
     } else if (sec.header == "tm") {
       TmCase tc;
-      for (const std::string& raw : sec.lines) {
-        std::string t = Trim(raw);
-        if (t.empty()) continue;
-        std::istringstream in(t);
-        std::string kw;
-        in >> kw;
+      for (size_t li = 0; li < sec.lines.size(); ++li) {
+        const std::vector<Token> tok = Tokenize(sec.lines[li]);
+        if (tok.empty()) continue;
+        const int line_no = sec.line + 1 + static_cast<int>(li);
+        const std::string& kw = tok[0].text;
         if (kw == "machine") {
-          in >> tc.machine;
+          if (tok.size() != 2) return fail("tm: bad machine line");
+          tc.machine = tok[1].text;
         } else if (kw == "input") {
           tc.input.clear();
-          int sym = 0;
-          while (in >> sym) tc.input.push_back(sym);
+          for (size_t k = 1; k < tok.size(); ++k) {
+            int sym = 0;
+            if (!ParseWhole(tok[k].text, std::numeric_limits<int>::max(),
+                            &sym)) {
+              return fail(PositionedError(
+                  line_no, tok[k].col,
+                  "tm: bad input symbol `" + tok[k].text + "`"));
+            }
+            tc.input.push_back(sym);
+          }
         } else if (kw == "steps") {
-          long long n = -1;
-          in >> n;
-          if (n < 0) return fail("tm: bad steps");
-          tc.max_steps = static_cast<size_t>(n);
+          const Token v = ValueAfterKey(sec.lines[li]);
+          if (!ParseWhole(v.text, std::numeric_limits<size_t>::max(),
+                          &tc.max_steps)) {
+            return fail(PositionedError(line_no, v.col,
+                                        "tm: bad steps `" + v.text + "`"));
+          }
         } else {
           return fail("tm: unknown key `" + kw + "`");
         }
@@ -438,59 +492,78 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
       c.tm = std::move(tc);
     } else if (sec.header == "nta a" || sec.header == "nta b") {
       int width = -1;
-      long long nstates = -1;
-      std::vector<long long> finals;
-      struct LeafLine {
+      size_t nstates = 0;
+      bool have_states = false;
+      std::vector<size_t> finals;
+      // One transition line: label, child states, target state.
+      struct TransLine {
         std::string label;
-        long long to;
+        std::vector<size_t> children;
+        size_t to = 0;
       };
-      struct UnaryLine {
-        std::string label;
-        long long child, to;
-      };
-      struct BinaryLine {
-        std::string label;
-        long long c1, c2, to;
-      };
-      std::vector<LeafLine> leafs;
-      std::vector<UnaryLine> unaries;
-      std::vector<BinaryLine> binaries;
-      for (const std::string& raw : sec.lines) {
-        std::string t = Trim(raw);
-        if (t.empty()) continue;
-        std::istringstream in(t);
-        std::string kw;
-        in >> kw;
-        std::string arrow;
+      std::vector<TransLine> leafs, unaries, binaries;
+      for (size_t li = 0; li < sec.lines.size(); ++li) {
+        const std::string t = Trim(sec.lines[li]);
+        const std::vector<Token> tok = Tokenize(sec.lines[li]);
+        if (tok.empty()) continue;
+        const int line_no = sec.line + 1 + static_cast<int>(li);
+        // A state id token; states are checked against `states` below.
+        auto state_at = [&](const Token& k, size_t* out) {
+          return ParseWhole(k.text, std::numeric_limits<size_t>::max(), out);
+        };
+        auto bad_state = [&](const Token& k) {
+          return PositionedError(line_no, k.col,
+                                 "nta: bad state `" + k.text + "`");
+        };
+        const std::string& kw = tok[0].text;
         if (kw == "width") {
-          in >> width;
+          const Token v = ValueAfterKey(sec.lines[li]);
+          if (!ParseWhole(v.text, std::numeric_limits<int>::max(), &width)) {
+            return fail(PositionedError(line_no, v.col,
+                                        "nta: bad width `" + v.text + "`"));
+          }
         } else if (kw == "states") {
-          in >> nstates;
+          const Token v = ValueAfterKey(sec.lines[li]);
+          if (!ParseWhole(v.text, kMaxReproStates, &nstates)) {
+            return fail(PositionedError(
+                line_no, v.col,
+                "nta: bad state count `" + v.text + "` (at most " +
+                    std::to_string(kMaxReproStates) + ")"));
+          }
+          have_states = true;
         } else if (kw == "finals") {
-          long long q = 0;
-          while (in >> q) finals.push_back(q);
-        } else if (kw == "leaf") {
-          LeafLine l{"", -1};
-          in >> l.label >> arrow >> l.to;
-          if (!in || arrow != "->") return fail("nta: bad line `" + t + "`");
-          leafs.push_back(l);
-        } else if (kw == "unary") {
-          UnaryLine u{"", -1, -1};
-          in >> u.label >> u.child >> arrow >> u.to;
-          if (!in || arrow != "->") return fail("nta: bad line `" + t + "`");
-          unaries.push_back(u);
-        } else if (kw == "binary") {
-          BinaryLine b{"", -1, -1, -1};
-          in >> b.label >> b.c1 >> b.c2 >> arrow >> b.to;
-          if (!in || arrow != "->") return fail("nta: bad line `" + t + "`");
-          binaries.push_back(b);
+          for (size_t k = 1; k < tok.size(); ++k) {
+            size_t q = 0;
+            if (!state_at(tok[k], &q)) return fail(bad_state(tok[k]));
+            finals.push_back(q);
+          }
+        } else if (kw == "leaf" || kw == "unary" || kw == "binary") {
+          // `<kw> LABEL child... -> to`
+          const size_t nchildren = kw == "leaf" ? 0 : kw == "unary" ? 1 : 2;
+          if (tok.size() != 4 + nchildren ||
+              tok[2 + nchildren].text != "->") {
+            return fail("nta: bad line `" + t + "`");
+          }
+          TransLine line{tok[1].text, {}, 0};
+          for (size_t k = 2; k < tok.size(); ++k) {
+            if (k == 2 + nchildren) continue;  // the arrow
+            size_t q = 0;
+            if (!state_at(tok[k], &q)) return fail(bad_state(tok[k]));
+            if (k < 2 + nchildren) {
+              line.children.push_back(q);
+            } else {
+              line.to = q;
+            }
+          }
+          (kw == "leaf" ? leafs : kw == "unary" ? unaries : binaries)
+              .push_back(std::move(line));
         } else {
           return fail("nta: unknown key `" + kw + "`");
         }
       }
       if (width < 0) return fail("nta: missing `width`");
-      if (nstates < 0) return fail("nta: missing `states`");
-      auto in_range = [&](long long q) { return q >= 0 && q < nstates; };
+      if (!have_states) return fail("nta: missing `states`");
+      auto in_range = [&](size_t q) { return q < nstates; };
       auto label_of = [&](const std::string& name,
                           NodeLabel* out_label) -> bool {
         if (name == "A") {
@@ -504,38 +577,41 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
         return false;
       };
       Nta m(width);
-      for (long long i = 0; i < nstates; ++i) m.AddState();
-      for (long long q : finals) {
+      for (size_t i = 0; i < nstates; ++i) m.AddState();
+      for (size_t q : finals) {
         if (!in_range(q)) return fail("nta: final state out of range");
         m.AddFinal(static_cast<State>(q));
       }
       NodeLabel label;
-      for (const LeafLine& l : leafs) {
+      for (const TransLine& l : leafs) {
         if (!label_of(l.label, &label)) {
           return fail("nta: unknown label `" + l.label + "`");
         }
         if (!in_range(l.to)) return fail("nta: leaf state out of range");
         m.AddLeaf(label, static_cast<State>(l.to));
       }
-      for (const UnaryLine& u : unaries) {
+      for (const TransLine& u : unaries) {
         if (!label_of(u.label, &label)) {
           return fail("nta: unknown label `" + u.label + "`");
         }
-        if (!in_range(u.child) || !in_range(u.to)) {
+        if (!in_range(u.children[0]) || !in_range(u.to)) {
           return fail("nta: unary state out of range");
         }
-        m.AddUnary(label, EdgeLabel{}, static_cast<State>(u.child),
+        m.AddUnary(label, EdgeLabel{}, static_cast<State>(u.children[0]),
                    static_cast<State>(u.to));
       }
-      for (const BinaryLine& b : binaries) {
+      for (const TransLine& b : binaries) {
         if (!label_of(b.label, &label)) {
           return fail("nta: unknown label `" + b.label + "`");
         }
-        if (!in_range(b.c1) || !in_range(b.c2) || !in_range(b.to)) {
+        if (!in_range(b.children[0]) || !in_range(b.children[1]) ||
+            !in_range(b.to)) {
           return fail("nta: binary state out of range");
         }
-        m.AddBinary(label, EdgeLabel{}, EdgeLabel{}, static_cast<State>(b.c1),
-                    static_cast<State>(b.c2), static_cast<State>(b.to));
+        m.AddBinary(label, EdgeLabel{}, EdgeLabel{},
+                    static_cast<State>(b.children[0]),
+                    static_cast<State>(b.children[1]),
+                    static_cast<State>(b.to));
       }
       if (sec.header == "nta a") {
         c.nta_a = std::move(m);

@@ -1,6 +1,7 @@
 #ifndef MONDET_TESTING_CORPUS_H_
 #define MONDET_TESTING_CORPUS_H_
 
+#include <cstddef>
 #include <optional>
 #include <string>
 
@@ -42,8 +43,20 @@ namespace testing {
 /// (DescribeCase) and saved repros share this one rendering.
 std::string SerializeCase(const FuzzCase& c);
 
+/// Upper bounds on the sizes a `.repro` file may declare — `elements N`
+/// of an `[instance]` and `states N` of an `[nta]` section. The loader
+/// allocates what these declare, so they are capped far above anything
+/// the generators or the shrinker produce (tens of elements, a handful
+/// of states).
+inline constexpr size_t kMaxReproElements = size_t{1} << 16;
+inline constexpr size_t kMaxReproStates = size_t{1} << 16;
+
 /// Parses the `.repro` format; nullopt with `*error` set on malformed
 /// input (unknown profile, unparseable rule/fact, out-of-range element).
+/// Every number (`seed:`, `elements`, `e<index>`, `input`, `steps`,
+/// `width`, `states`, `finals`, transition states) must be a whole
+/// unsigned decimal that fits its field — no sign, no trailing text —
+/// else the error is an `error[repro] line L:C` diagnostic at the token.
 std::optional<FuzzCase> ParseCaseText(const std::string& text,
                                       std::string* error);
 

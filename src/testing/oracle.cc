@@ -64,10 +64,43 @@ std::optional<std::string> DiffSequences(const Instance& a, const Instance& b,
   return std::nullopt;
 }
 
+/// Same run counters, stratum by stratum, including the executed seats
+/// (plan_stats); wall times are not compared.
+std::optional<std::string> DiffEvalStats(const EvalStats& a,
+                                         const EvalStats& b,
+                                         const std::string& tag) {
+  if (a.iterations != b.iterations || a.facts_derived != b.facts_derived ||
+      a.join_probes != b.join_probes || a.replans != b.replans ||
+      a.stats_facts_counted != b.stats_facts_counted ||
+      a.strata.size() != b.strata.size()) {
+    return tag + ": run counters differ (" + a.Summary() + " vs " +
+           b.Summary() + ")";
+  }
+  for (size_t i = 0; i < a.strata.size(); ++i) {
+    const StratumStats& x = a.strata[i];
+    const StratumStats& y = b.strata[i];
+    bool same = x.iterations == y.iterations &&
+                x.facts_derived == y.facts_derived &&
+                x.join_probes == y.join_probes && x.replans == y.replans &&
+                x.stats_facts_counted == y.stats_facts_counted &&
+                x.seats.size() == y.seats.size();
+    for (size_t k = 0; same && k < x.seats.size(); ++k) {
+      const JoinSeatStats& u = x.seats[k];
+      const JoinSeatStats& v = y.seats[k];
+      same = u.rule == v.rule && u.delta_atom == v.delta_atom &&
+             u.order == v.order && u.est_rows == v.est_rows &&
+             u.actual_rows == v.actual_rows && u.seedings == v.seedings;
+    }
+    if (!same) return tag + ": stratum " + std::to_string(i) + " differs";
+  }
+  return std::nullopt;
+}
+
 // --- eval-differential ------------------------------------------------------
 // Port of tests/eval_differential_test.cc: naive reference vs semi-naive
 // at 1 and 4 threads — same set vs the oracle, same *sequence* and stats
-// across thread counts.
+// across thread counts — plus the move path: an input handed over as an
+// rvalue evaluates exactly like a copied one.
 
 class EvalOracle : public Oracle {
  public:
@@ -102,6 +135,46 @@ class EvalOracle : public Oracle {
     }
     if (stats1.iterations != stats4.iterations) {
       return Fail(c, "iterations differs across thread counts");
+    }
+
+    // Move vs copy, with both size gates set to exactly the input size:
+    // they open only when read before Eval takes the input over (a
+    // moved-from instance reads 0 facts). plan_stats makes the stats gate
+    // visible — every executed seat carries estimates iff it planned —
+    // and a kernels-forced run pins the kernel gate through join_probes,
+    // the one counter the two planes may disagree on.
+    CompiledProgram compiled(program);
+    const size_t n = inst.num_facts();
+    for (int threads : {1, 4}) {
+      const std::string tag = "copy vs move " + std::to_string(threads) + "T";
+      EvalOptions o;
+      o.num_threads = threads;
+      o.plan_stats = true;
+      o.stats_min_facts = n;
+      o.kernel_min_facts = n;
+      EvalStats s_copy, s_move;
+      Instance by_copy = compiled.Eval(inst, &s_copy, o);
+      Instance by_move = compiled.Eval(Instance(inst), &s_move, o);
+      if (auto d = DiffSequences(by_copy, by_move, tag)) return Fail(c, *d);
+      if (auto d = DiffEvalStats(s_copy, s_move, tag)) return Fail(c, *d);
+      for (const StratumStats& ss : s_move.strata) {
+        for (const JoinSeatStats& seat : ss.seats) {
+          if (!seat.order.empty() && seat.est_rows.empty()) {
+            return Fail(c, tag + ": stats gate closed on a " +
+                               std::to_string(n) + "-fact input");
+          }
+        }
+      }
+      if (n > 0 && n >= program.rules().size() * 4) {
+        EvalOptions forced = o;
+        forced.kernel_min_facts = 0;
+        EvalStats s_forced;
+        compiled.Eval(Instance(inst), &s_forced, forced);
+        if (s_forced.join_probes != s_move.join_probes) {
+          return Fail(c, tag + ": kernel gate closed on a " +
+                             std::to_string(n) + "-fact input");
+        }
+      }
     }
     return Pass();
   }

@@ -83,11 +83,28 @@ TEST(CorpusReplay, MalformedCasesAreRejectedWithPosition) {
        "(2 elements)"},
       {"element-trailing-text.repro",
        "error[repro] line 9:4: instance: malformed element `e1x`"},
+      {"elements-overflow.repro",
+       "error[repro] line 7:10: instance: bad element count `99999999999` "
+       "(at most 65536)"},
+      {"elements-trailing-text.repro",
+       "error[repro] line 7:10: instance: bad element count `5abc` "
+       "(at most 65536)"},
+      {"nta-finals-trailing-text.repro",
+       "error[repro] line 7:8: nta: bad state `1x`"},
+      {"nta-states-overflow.repro",
+       "error[repro] line 6:8: nta: bad state count `9223372036854775807` "
+       "(at most 65536)"},
+      {"nta-transition-overflow.repro",
+       "error[repro] line 8:11: nta: bad state `18446744073709551616`"},
+      {"nta-width-negative.repro", "error[repro] line 5:7: nta: bad width `-1`"},
       {"schedule-element-negative.repro",
        "error[repro] line 12:5: schedule: malformed element `e-1`"},
       {"seed-negative.repro", "error[repro] line 3:7: bad seed `-1`"},
       {"seed-overflow.repro", "error[repro] line 3:7: bad seed `99999999999`"},
       {"seed-trailing-text.repro", "error[repro] line 3:7: bad seed `5abc`"},
+      {"tm-input-trailing-text.repro",
+       "error[repro] line 6:9: tm: bad input symbol `1x`"},
+      {"tm-steps-negative.repro", "error[repro] line 7:7: tm: bad steps `-1`"},
       {"view-bad-rule.repro",
        "view VReach: error[parse] line 12:23: expected ',' or ')'"},
       {"view-name-clash.repro",

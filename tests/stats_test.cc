@@ -4,10 +4,12 @@
 // growth and Refresh of a snapshot taken from another instance agree with
 // a fresh Collect; the selectivity estimates match hand calculations;
 // and planning from stale statistics still yields correct fixpoints
-// (stale stats may cost time, never correctness).
+// (stale stats may cost time, never correctness) with pinned fact
+// sequences.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <set>
 #include <vector>
@@ -187,10 +189,45 @@ TEST(StatsTest, EstimateMatchesHandComputed) {
   EXPECT_DOUBLE_EQ(stats.EstimateMatches(u, {false}), 0.0);
 }
 
+/// FNV-1a over a fact *sequence*: fact count, then per fact its predicate,
+/// arity and arguments, each as 8 little-endian bytes.
+uint64_t SequenceDigest(const Instance& inst) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&](uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (w >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(inst.num_facts());
+  for (uint32_t g = 0; g < inst.num_facts(); ++g) {
+    const FactView f = inst.ViewAt(g);
+    mix(f.pred);
+    mix(f.args.size());
+    for (ElemId a : f.args) mix(a);
+  }
+  return h;
+}
+
 TEST(StatsTest, StaleStatsStillYieldCorrectFixpoints) {
   // Plan from statistics of instance A while evaluating instance B: the
   // orders may be bad, the fixpoint must be identical to the naive
-  // reference and to the default (live-stats) run.
+  // reference and to the default (live-stats) run. The stale snapshot is
+  // bound once (BindStats) and run with the planner off; the fact
+  // sequences are pinned to those of the per-Eval snapshot option that
+  // binding replaced, which planned the same orders from the same counts.
+  const uint64_t kStaleDigests[30] = {
+      0x54881f344cc07183ull, 0x38d9c8a8948c949cull, 0x55527d318e406f85ull,
+      0xb28e536cc19c009eull, 0x1c3bc2c22c9fe881ull, 0x1c4cc2fc26989504ull,
+      0xe7aa464eea20407aull, 0x8596fed6daf07dfeull, 0xfc45f38ee7adba7cull,
+      0x283f38a152add647ull, 0xc826902e71d3cae6ull, 0x81433081564bf461ull,
+      0xce132de049c6d975ull, 0xaa42dee944b62df7ull, 0x8ad1f7d2a7d27325ull,
+      0xe9e561295d16ae9cull, 0x3d989359b50b1f81ull, 0xb57fdb66a007673aull,
+      0x5a4cd5a0c2d90446ull, 0x40f3156a565036f9ull, 0xd70e000db4f09c27ull,
+      0xda837bd367f6d6fdull, 0xe96462b2c8545678ull, 0x9d9f1484e380ecf9ull,
+      0x839f817c2546633dull, 0x1d2239978dca6c06ull, 0x15cfca8a72e15c03ull,
+      0x43a6199876bb1f3aull, 0x93ca05dc5f8e5db9ull, 0xbcd7349288d68046ull,
+  };
   auto vocab = MakeVocabulary();
   PredId u = vocab->AddPredicate("U", 1);
   PredId r = vocab->AddPredicate("R", 2);
@@ -225,10 +262,12 @@ TEST(StatsTest, StaleStatsStillYieldCorrectFixpoints) {
     Stats stale = Stats::Collect(stale_src);
 
     CompiledProgram compiled(program);
+    compiled.BindStats(stale);
     EvalOptions with_stale;
     with_stale.num_threads = 1;
-    with_stale.stats = &stale;
+    with_stale.stats_planner = false;
     Instance got = compiled.Eval(inst, nullptr, with_stale);
+    EXPECT_EQ(SequenceDigest(got), kStaleDigests[seed]) << "seed " << seed;
     Instance naive = NaiveFpEval(program, inst);
     EvalOptions with_live;
     with_live.num_threads = 1;
