@@ -123,10 +123,8 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
   }
 
   // The query program is evaluated on every candidate D'; compile it once.
-  // Each block re-binds it (below); `unbound` keeps the compile-time
-  // orders for blocks without a snapshot once something is bound.
+  // Each block with a snapshot re-binds it (below).
   CompiledProgram compiled_query(query.program);
-  std::optional<CompiledProgram> unbound;
 
   // Pre-enumerate view definition expansions.
   std::map<PredId, std::vector<Expansion>> view_exps;
@@ -224,11 +222,11 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
     // no per-test collection or planning, and stale stats stay correct by
     // construction. Binding happens sequentially before the fan-out, so
     // the orders are identical at every thread count. A block with no
-    // buildable probe runs the compile-time orders with the default
-    // planner, never an earlier block's binding.
+    // buildable probe keeps the default planner: live statistics from
+    // stats_min_facts facts up, the stored orders below (compile-time or
+    // an earlier block's); the fixpoint does not depend on either.
     EvalOptions eopts;
     eopts.num_threads = 1;
-    const CompiledProgram* block_query = nullptr;
     {
       std::vector<const Expansion*> probe_choice;
       const size_t probe_limit = std::min<size_t>(block, 4);
@@ -238,18 +236,9 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
             BuildDPrime(vocab, image, probe_choice, qi.inst.num_elements());
         if (dprime) {
           compiled_query.BindStats(Stats::Collect(*dprime));
-          block_query = &compiled_query;
           eopts.stats_planner = false;
           break;
         }
-      }
-    }
-    if (block_query == nullptr) {
-      if (compiled_query.bound_stats() == nullptr) {
-        block_query = &compiled_query;
-      } else {
-        if (!unbound) unbound.emplace(query.program);
-        block_query = &*unbound;
       }
     }
 
@@ -267,8 +256,9 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
       // paper states the Boolean case; the tuple version is the natural
       // non-Boolean extension). Inner evaluations stay single-threaded —
       // the parallelism budget is spent on the test fan-out.
-      const bool holds = block_query->Eval(std::move(*dprime), nullptr, eopts)
-                             .HasFact(query.goal, qi.frontier);
+      const bool holds =
+          compiled_query.Eval(std::move(*dprime), nullptr, eopts)
+              .HasFact(query.goal, qi.frontier);
       if (!holds) {
         size_t cur = best.load(std::memory_order_relaxed);
         while (t < cur && !best.compare_exchange_weak(

@@ -522,6 +522,14 @@ std::optional<FuzzCase> ParseCaseText(const std::string& text,
             return fail(PositionedError(line_no, v.col,
                                         "nta: bad width `" + v.text + "`"));
           }
+          // Edge labels are never written, so only width-1 automata have
+          // a rendering; this also keeps both sections' widths equal, as
+          // the inclusion and product operations require.
+          if (width != 1) {
+            return fail(PositionedError(
+                line_no, v.col,
+                "nta: width " + v.text + " unsupported (width 1 only)"));
+          }
         } else if (kw == "states") {
           const Token v = ValueAfterKey(sec.lines[li]);
           if (!ParseWhole(v.text, kMaxReproStates, &nstates)) {

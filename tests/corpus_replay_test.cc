@@ -96,6 +96,8 @@ TEST(CorpusReplay, MalformedCasesAreRejectedWithPosition) {
        "(at most 65536)"},
       {"nta-transition-overflow.repro",
        "error[repro] line 8:11: nta: bad state `18446744073709551616`"},
+      {"nta-width-mismatch.repro",
+       "error[repro] line 10:7: nta: width 2 unsupported (width 1 only)"},
       {"nta-width-negative.repro", "error[repro] line 5:7: nta: bad width `-1`"},
       {"schedule-element-negative.repro",
        "error[repro] line 12:5: schedule: malformed element `e-1`"},
