@@ -72,8 +72,12 @@ void BM_Maintenance_ChurnMaintain(benchmark::State& state) {
   state.counters["image_facts"] =
       static_cast<double>(maintained.image().num_facts());
   state.counters["touched_per_cycle"] = static_cast<double>(touched);
-  state.counters["overdeleted"] = static_cast<double>(stats.overdeleted);
-  state.counters["rederived"] = static_cast<double>(stats.rederived);
+  // Per churn cycle: `stats` sums over however many iterations the
+  // timing loop chose to run, which differs between runs and threads.
+  const double cycles = static_cast<double>(state.iterations());
+  state.counters["overdeleted"] =
+      static_cast<double>(stats.overdeleted) / cycles;
+  state.counters["rederived"] = static_cast<double>(stats.rederived) / cycles;
 
   // The headline contract, checked once after the timed loop: the
   // maintained image is bit-identical (as a set) to a recompute.

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Perf trajectory snapshot: run the tier-1 bench smoke set, then capture
-# the Table 2 families (including the MONDET_THREADS sweeps) as JSON in
-# BENCH_table2.json at the repo root, so future PRs can diff wall times
-# and counters (tests, transition_visits) against this one. The merged
-# JSON's context records nproc and MONDET_THREADS ("unset" when the
+# the Table 2 families as JSON in BENCH_table2.json at the repo root, so
+# future PRs can diff wall times and counters (tests, transition_visits)
+# against this one. The checker thread sweeps (*_Threads) run twice: in
+# the caller's environment and again at MONDET_THREADS=1, merged with a
+# "/MONDET_THREADS:1" name suffix. The merged JSON's context records
+# nproc, the CMake build type and MONDET_THREADS ("unset" when the
 # variable is not set, i.e. hardware concurrency).
 #
 #   BENCH_MIN_TIME  per-benchmark min time in seconds (default 0.05; the
@@ -31,6 +33,15 @@ done
 ./build/bench/bench_table2 \
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_out=BENCH_table2.json \
+  --benchmark_out_format=json
+
+# The checker thread sweeps again with every library-default thread
+# count pinned to 1, so a change that helps one setting and hurts the
+# other shows up in one snapshot.
+MONDET_THREADS=1 ./build/bench/bench_table2 \
+  --benchmark_filter='_Threads' \
+  --benchmark_min_time="$MIN_TIME" \
+  --benchmark_out=BENCH_table2_threads1.json \
   --benchmark_out_format=json
 
 # Figure 4 row-family evaluator sweep: live planning against the
@@ -62,7 +73,16 @@ with open("BENCH_table2.json") as f:
     table2 = json.load(f)
 table2["context"]["nproc"] = len(os.sched_getaffinity(0))
 table2["context"]["MONDET_THREADS"] = os.environ.get("MONDET_THREADS", "unset")
+with open("build/CMakeCache.txt") as f:
+    for line in f:
+        if line.startswith("CMAKE_BUILD_TYPE:"):
+            table2["context"]["build_type"] = line.split("=", 1)[1].strip()
 extra = []
+with open("BENCH_table2_threads1.json") as f:
+    for b in json.load(f)["benchmarks"]:
+        for key in ("name", "run_name"):
+            b[key] += "/MONDET_THREADS:1"
+        extra.append(b)
 for path, prefixes in [
     ("BENCH_fig4_rowfamily.json", ("BM_Fig4_RowFamilyEval",)),
     ("BENCH_antichain.json", ("BM_AntichainInclusion", "BM_ExplicitInclusion")),
@@ -78,12 +98,14 @@ with open("BENCH_table2.json", "w") as f:
     json.dump(table2, f, indent=2)
     f.write("\n")
 EOF
-  rm -f BENCH_fig4_rowfamily.json BENCH_antichain.json
-  echo "bench_snapshot: wrote BENCH_table2.json (incl. fig4 row-family" \
-       "sweep and antichain rung)"
+  rm -f BENCH_table2_threads1.json BENCH_fig4_rowfamily.json \
+        BENCH_antichain.json
+  echo "bench_snapshot: wrote BENCH_table2.json (incl. the 1-thread" \
+       "sweeps, fig4 row-family sweep and antichain rung)"
 else
-  echo "bench_snapshot: wrote BENCH_table2.json, BENCH_fig4_rowfamily.json" \
-       "and BENCH_antichain.json"
+  echo "bench_snapshot: wrote BENCH_table2.json," \
+       "BENCH_table2_threads1.json, BENCH_fig4_rowfamily.json and" \
+       "BENCH_antichain.json"
 fi
 
 # Maintenance churn family: maintained view image vs from-scratch

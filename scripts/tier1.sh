@@ -71,9 +71,11 @@ fi
 # antichain-inclusion oracle seed sweep;
 # mondet_check_test and separator_test drive the canonical-test loops,
 # which re-bind one CompiledProgram's orders (BindStats) between their
-# inner evaluations and move each D' into Eval.
+# inner evaluations and recycle one D' buffer per worker through Eval;
+# base_test covers Instance::Clear, whose emptied index buckets those
+# buffers reuse.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
-cmake --build build-asan -j "$JOBS" --target eval_differential_test plan_differential_test kernel_differential_test stats_test plan_convergence_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test mondet_check_test separator_test mondet-fuzz
+cmake --build build-asan -j "$JOBS" --target eval_differential_test plan_differential_test kernel_differential_test stats_test plan_convergence_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test mondet_check_test separator_test base_test mondet-fuzz
 MONDET_THREADS=1 ./build-asan/tests/eval_differential_test
 MONDET_THREADS=4 ./build-asan/tests/eval_differential_test
 ./build-asan/tests/dataflow_soundness_test
@@ -89,6 +91,7 @@ MONDET_THREADS=1 ./build-asan/tests/antichain_test
 MONDET_THREADS=4 ./build-asan/tests/antichain_test
 ./build-asan/tests/mondet_check_test
 ./build-asan/tests/separator_test
+./build-asan/tests/base_test
 
 # Fuzz smoke arm: mondet-fuzz over every registered oracle at fixed
 # seeds under ASan/UBSan (~10s). Deterministic — the same seeds every
@@ -116,9 +119,11 @@ fi
 
 # Race detection: the genuinely multi-threaded oracles — the parallel
 # counterexample search, the maintained-materialization differential,
-# and the kernel differential (whose 4T arms run compiled kernels over
-# shared column indexes) — under ThreadSanitizer at 4 workers (the `tsan` CMake preset builds the
-# same tree). TSan needs compiler runtime support (libtsan); minimal
+# the kernel differential (whose 4T arms run compiled kernels over
+# shared column indexes), and the canonical-test loops (per-worker D'
+# buffers and Eval scratch that persist across blocks) — under
+# ThreadSanitizer at 4 workers (the `tsan` CMake preset builds the same
+# tree). TSan needs compiler runtime support (libtsan); minimal
 # images often lack it, so probe the compiler first and make any skip
 # loud rather than silent.
 CXX_BIN="${CXX:-c++}"
@@ -131,11 +136,14 @@ if printf 'int main(){return 0;}\n' \
         -DMONDET_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS" \
         --target mondet_parallel_test maintenance_differential_test \
-        kernel_differential_test antichain_test
+        kernel_differential_test antichain_test mondet_check_test \
+        separator_test
   MONDET_THREADS=4 ./build-tsan/tests/mondet_parallel_test
   MONDET_THREADS=4 ./build-tsan/tests/maintenance_differential_test
   MONDET_THREADS=4 ./build-tsan/tests/kernel_differential_test
   MONDET_THREADS=4 ./build-tsan/tests/antichain_test
+  MONDET_THREADS=4 ./build-tsan/tests/mondet_check_test
+  MONDET_THREADS=4 ./build-tsan/tests/separator_test
 else
   rm -f "$TSAN_PROBE"
   echo "==================================================================" >&2

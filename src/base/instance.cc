@@ -43,6 +43,33 @@ void Instance::EnsureElements(size_t n) {
   while (num_elements_ < n) AddElement();
 }
 
+void Instance::Clear() {
+  for (PredId p = 0; p < preds_.size(); ++p) {
+    PredStore& st = preds_[p];
+    // Empty exactly the buckets that hold rows, while the rows still say
+    // which ones those are; the bucket vectors keep their capacity.
+    for (uint32_t pos = 0; pos < index_[p].size(); ++pos) {
+      PosIndex& ix = index_[p][pos];
+      if (!ix.built) continue;
+      for (size_t i = pos; i < st.data.size(); i += st.arity) {
+        ix.buckets[st.data[i]].clear();
+      }
+      ix.slots.clear();
+      ix.built = false;
+    }
+    st.data.clear();
+    st.counts.clear();
+    st.global_of.clear();
+  }
+  std::fill(table_.begin(), table_.end(), TableSlot{});
+  table_live_ = 0;
+  table_used_ = 0;
+  order_.clear();
+  names_.clear();
+  degree_.clear();
+  num_elements_ = 0;
+}
+
 Instance::PredStore& Instance::EnsurePred(PredId pred) {
   if (preds_.size() <= pred) {
     preds_.resize(vocab_->size());
@@ -255,17 +282,22 @@ void Instance::BuildPosIndex(PredId pred, int pos) const {
   const ElemId* col = st.data.data() + pos;
   // Counting-sort build: count per-value occurrences, reserve each bucket
   // exactly, then scatter rows in row order (so bucket order == insertion
-  // order, the order the determinism contracts rely on).
+  // order, the order the determinism contracts rely on). The counts live
+  // in `slots` until the scatter overwrites it, and the buckets are
+  // reused as they are — every bucket of an unbuilt index is empty — so
+  // rebuilding an index of a cleared instance allocates nothing.
   ElemId max_val = 0;
   for (uint32_t r = 0; r < rows; ++r) {
     max_val = std::max(max_val, col[static_cast<size_t>(r) * arity]);
   }
-  std::vector<uint32_t> cnt(rows == 0 ? 0 : max_val + 1, 0);
+  const size_t nvals = rows == 0 ? 0 : static_cast<size_t>(max_val) + 1;
+  std::vector<uint32_t>& cnt = ix.slots;
+  cnt.assign(nvals, 0);
   for (uint32_t r = 0; r < rows; ++r) {
     ++cnt[col[static_cast<size_t>(r) * arity]];
   }
-  ix.buckets.assign(cnt.size(), {});
-  for (ElemId v = 0; v < cnt.size(); ++v) {
+  if (ix.buckets.size() < nvals) ix.buckets.resize(nvals);
+  for (size_t v = 0; v < nvals; ++v) {
     if (cnt[v] > 0) ix.buckets[v].reserve(cnt[v]);
   }
   ix.slots.resize(rows);

@@ -146,6 +146,15 @@ class Instance {
   /// Ensures at least n elements exist; returns nothing.
   void EnsureElements(size_t n);
 
+  /// Drops every fact and element, keeping the storage: the fact table's
+  /// slots, each predicate's row arenas and the positional indexes' bucket
+  /// capacity all survive, so refilling a cleared instance with a similar
+  /// fact set allocates next to nothing. Afterwards the instance is
+  /// indistinguishable from a fresh Instance(vocab()) through every
+  /// accessor (pinned by base_test); a loop that builds and evaluates many
+  /// small instances reuses one buffer this way instead of reallocating.
+  void Clear();
+
   size_t num_elements() const { return num_elements_; }
   /// The element's debug name; elements created without one render as
   /// "e<id>", synthesized here on demand (storing 4M default names was a
@@ -297,6 +306,8 @@ class Instance {
   };
   /// Dense (val -> rows) index of one (pred, pos) pair. `slots[row]` is
   /// row's position inside its bucket, which makes removal swap-and-pop.
+  /// An unbuilt index has only empty buckets (Clear empties them and keeps
+  /// their capacity for the next build).
   struct PosIndex {
     bool built = false;
     std::vector<std::vector<uint32_t>> buckets;  // val -> rows, add order

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <functional>
 #include <map>
-#include <optional>
 
 #include "base/check.h"
 #include "base/stats.h"
@@ -34,50 +33,42 @@ std::pair<std::vector<Expansion>, bool> ViewExpansions(const View& view,
   return {std::move(out), exhaustive};
 }
 
-/// Builds D' for one choice of per-fact view expansions: each view fact
-/// V(c) is replaced by the chosen expansion's facts, frontier unified with
-/// c and other elements fresh. Returns nullopt when some expansion's
-/// frontier cannot be unified with its fact's arguments.
-std::optional<Instance> BuildDPrime(
-    const VocabularyPtr& vocab, const Instance& image,
-    const std::vector<const Expansion*>& choice, size_t base_elems) {
-  Instance dprime(vocab);
-  dprime.EnsureElements(base_elems);
+}  // namespace
+
+bool BuildDPrimeInto(Instance& out, const Instance& image,
+                     std::span<const Expansion* const> choice,
+                     size_t base_elems, std::vector<ElemId>& scratch) {
+  out.Clear();
+  out.EnsureElements(base_elems);
   for (uint32_t fi = 0; fi < image.num_facts(); ++fi) {
     const FactView fact = image.ViewAt(fi);
     const Expansion& exp = *choice[fi];
-    // Map the expansion's elements: frontier -> fact args, others fresh.
-    std::vector<ElemId> map(exp.inst.num_elements(), kNoElem);
+    // scratch[0, n) maps the expansion's elements (frontier -> fact args,
+    // others fresh); scratch[n, n + arity) stages one fact's arguments.
+    const size_t n = exp.inst.num_elements();
+    scratch.assign(n, kNoElem);
     for (size_t i = 0; i < exp.frontier.size(); ++i) {
-      ElemId from = exp.frontier[i];
-      if (map[from] != kNoElem && map[from] != fact.args[i]) {
-        return std::nullopt;  // frontier repeats, fact args differ
+      const ElemId from = exp.frontier[i];
+      if (scratch[from] != kNoElem && scratch[from] != fact.args[i]) {
+        return false;  // frontier repeats, fact args differ
       }
-      map[from] = fact.args[i];
+      scratch[from] = fact.args[i];
     }
-    for (ElemId e = 0; e < exp.inst.num_elements(); ++e) {
-      if (map[e] == kNoElem) map[e] = dprime.AddElement();
+    for (ElemId e = 0; e < n; ++e) {
+      if (scratch[e] == kNoElem) scratch[e] = out.AddElement();
     }
     for (uint32_t fg = 0; fg < exp.inst.num_facts(); ++fg) {
       const FactView f = exp.inst.ViewAt(fg);
-      std::vector<ElemId> args;
-      args.reserve(f.args.size());
-      for (ElemId a : f.args) args.push_back(map[a]);
-      dprime.AddFact(f.pred, args);
+      scratch.resize(n);
+      for (ElemId a : f.args) {
+        const ElemId mapped = scratch[a];
+        scratch.push_back(mapped);
+      }
+      out.AddFact(f.pred, std::span<const ElemId>(scratch).subspan(n));
     }
   }
-  return dprime;
+  return true;
 }
-
-/// Orders facts by (pred, args): the per-expansion test enumeration walks
-/// the image facts in this order, so the test numbering is a function of
-/// the image's fact *set*, not of the order the evaluator derived it in.
-bool FactLess(const Fact& a, const Fact& b) {
-  if (a.pred != b.pred) return a.pred < b.pred;
-  return a.args < b.args;
-}
-
-}  // namespace
 
 MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
                                        const ViewSet& views,
@@ -160,11 +151,26 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
   size_t tests_before = 0;  // Σ block sizes of completed expansions
   constexpr size_t kNoTest = static_cast<size_t>(-1);
 
+  // One D′ buffer per worker, reused by every test of every block: each
+  // test clears and refills it, Eval takes it over and hands the fixpoint
+  // back as the next test's buffer, so the storage circulates instead of
+  // being reallocated per test. The choice and element-map scratch is
+  // per worker too.
+  struct Worker {
+    Instance dprime;
+    std::vector<const Expansion*> choice;
+    std::vector<ElemId> map;
+  };
+  std::vector<Worker> workers(nthreads, Worker{Instance(vocab), {}, {}});
+
   for (size_t ei = 0; ei < expansions.size(); ++ei) {
     const Expansion& qi = expansions[ei];
 
+    // The per-expansion test enumeration walks the image facts in (pred,
+    // args) order, so the test numbering is a function of the image's fact
+    // *set*, not of the order the evaluator derived it in.
     std::vector<Fact> image_facts = views.Image(qi.inst).AllFacts();
-    std::sort(image_facts.begin(), image_facts.end(), FactLess);
+    std::sort(image_facts.begin(), image_facts.end());
     Instance image(vocab);
     image.EnsureElements(qi.inst.num_elements());
     for (const Fact& f : image_facts) image.AddFact(f);
@@ -228,14 +234,13 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
     EvalOptions eopts;
     eopts.num_threads = 1;
     {
-      std::vector<const Expansion*> probe_choice;
+      Worker& probe = workers[0];
       const size_t probe_limit = std::min<size_t>(block, 4);
       for (size_t t = 0; t < probe_limit; ++t) {
-        decode(t, &probe_choice);
-        std::optional<Instance> dprime =
-            BuildDPrime(vocab, image, probe_choice, qi.inst.num_elements());
-        if (dprime) {
-          compiled_query.BindStats(Stats::Collect(*dprime));
+        decode(t, &probe.choice);
+        if (BuildDPrimeInto(probe.dprime, image, probe.choice,
+                            qi.inst.num_elements(), probe.map)) {
+          compiled_query.BindStats(Stats::Collect(probe.dprime));
           eopts.stats_planner = false;
           break;
         }
@@ -243,22 +248,22 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
     }
 
     std::atomic<size_t> best{kNoTest};
-    std::vector<std::vector<const Expansion*>> scratch(nthreads);
     pool.ParallelFor(block, nthreads, [&](size_t t, int w) {
       // Only skip tests above a known failure: `best` never increases, so
       // the minimum failing index is always evaluated.
       if (t >= best.load(std::memory_order_acquire)) return;
-      decode(t, &scratch[w]);
-      std::optional<Instance> dprime =
-          BuildDPrime(vocab, image, scratch[w], qi.inst.num_elements());
-      if (!dprime) return;  // unbuildable choice: counted, never a failure
+      Worker& wk = workers[w];
+      decode(t, &wk.choice);
+      if (!BuildDPrimeInto(wk.dprime, image, wk.choice,
+                           qi.inst.num_elements(), wk.map)) {
+        return;  // unbuildable choice: counted, never a failure
+      }
       // The test succeeds if D' |= Q(c) for Qi's frontier tuple c (the
       // paper states the Boolean case; the tuple version is the natural
       // non-Boolean extension). Inner evaluations stay single-threaded —
       // the parallelism budget is spent on the test fan-out.
-      const bool holds =
-          compiled_query.Eval(std::move(*dprime), nullptr, eopts)
-              .HasFact(query.goal, qi.frontier);
+      wk.dprime = compiled_query.Eval(std::move(wk.dprime), nullptr, eopts);
+      const bool holds = wk.dprime.HasFact(query.goal, qi.frontier);
       if (!holds) {
         size_t cur = best.load(std::memory_order_relaxed);
         while (t < cur && !best.compare_exchange_weak(
@@ -273,11 +278,13 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
       // have stopped at exactly this test.
       result.expansions_tried = ei + 1;
       result.tests_run = tests_before + t_fail + 1;
-      std::vector<const Expansion*> choice;
-      decode(t_fail, &choice);
-      std::optional<Instance> dprime =
-          BuildDPrime(vocab, image, choice, qi.inst.num_elements());
-      result.failure.emplace(qi, std::move(*dprime));
+      Worker& wk = workers[0];
+      decode(t_fail, &wk.choice);
+      Instance dprime(vocab);
+      const bool built = BuildDPrimeInto(dprime, image, wk.choice,
+                                         qi.inst.num_elements(), wk.map);
+      MONDET_CHECK(built);
+      result.failure.emplace(qi, std::move(dprime));
       result.verdict = Verdict::kNotDetermined;
       return result;
     }

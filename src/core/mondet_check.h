@@ -2,6 +2,7 @@
 #define MONDET_CORE_MONDET_CHECK_H_
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "analysis/analyzer.h"
@@ -69,6 +70,18 @@ struct MonDetResult {
   /// Precondition violations when verdict == kInvalidInput.
   std::vector<Diagnostic> diagnostics;
 };
+
+/// Builds the canonical-test instance D′ of Lemma 5 into `out`, replacing
+/// whatever it held (Instance::Clear, so a reused buffer keeps its
+/// storage). Elements 0..base_elems-1 are the image's; image fact i, V(c),
+/// becomes the facts of the view expansion `choice[i]`, its frontier
+/// unified with c and its other elements fresh. Returns false, leaving
+/// `out` partly built, when some expansion's frontier repeats an element
+/// at positions where c differs: that choice has no D′. `scratch` holds
+/// the per-fact element maps; callers keep one per worker.
+bool BuildDPrimeInto(Instance& out, const Instance& image,
+                     std::span<const Expansion* const> choice,
+                     size_t base_elems, std::vector<ElemId>& scratch);
 
 /// The canonical-test procedure of Lemma 5: enumerates tests (Qi, D') and
 /// evaluates Q on each D'. Sound refuter for all of Datalog; exact decision

@@ -6,6 +6,7 @@
 #include "base/check.h"
 #include "base/homomorphism.h"
 #include "base/stats.h"
+#include "core/mondet_check.h"
 #include "datalog/approximation.h"
 #include "datalog/eval.h"
 #include "datalog/eval_plan.h"
@@ -99,34 +100,19 @@ bool ChaseSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
   }
   size_t nfacts = j.num_facts();
   std::vector<const Expansion*> choice(nfacts, nullptr);
+  // One chase-witness buffer, cleared and refilled per choice; Eval hands
+  // it back as the fixpoint (the canonical-test loop's reuse contract).
+  Instance dprime(vocab);
+  std::vector<ElemId> map;
   size_t tried = 0;
   bool all_hold = true;
   std::function<bool(size_t)> descend = [&](size_t fi) -> bool {
     if (tried >= max_choices) return false;
     if (fi == nfacts) {
       ++tried;
-      Instance dprime(vocab);
-      dprime.EnsureElements(j.num_elements());
-      for (uint32_t i = 0; i < nfacts; ++i) {
-        const FactView fact = j.ViewAt(i);
-        const Expansion& exp = *choice[i];
-        std::vector<ElemId> map(exp.inst.num_elements(), kNoElem);
-        bool ok = true;
-        for (size_t p = 0; p < exp.frontier.size(); ++p) {
-          ElemId from = exp.frontier[p];
-          if (map[from] != kNoElem && map[from] != fact.args[p]) ok = false;
-          map[from] = fact.args[p];
-        }
-        if (!ok) return true;  // unbuildable choice; skip
-        for (ElemId e = 0; e < exp.inst.num_elements(); ++e) {
-          if (map[e] == kNoElem) map[e] = dprime.AddElement();
-        }
-        for (uint32_t fg = 0; fg < exp.inst.num_facts(); ++fg) {
-          const FactView f = exp.inst.ViewAt(fg);
-          std::vector<ElemId> args;
-          for (ElemId a : f.args) args.push_back(map[a]);
-          dprime.AddFact(f.pred, args);
-        }
+      // A chase witness is the canonical-test D′ of J under `choice`.
+      if (!BuildDPrimeInto(dprime, j, choice, j.num_elements(), map)) {
+        return true;  // unbuildable choice; skip
       }
       // Every chase witness assembles the same view expansions over J's
       // facts; statistics from the first one describe them all, so the
@@ -137,8 +123,8 @@ bool ChaseSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
       }
       EvalOptions eopts;
       eopts.stats_planner = false;
-      if (compiled_query.Eval(std::move(dprime), nullptr, eopts)
-              .NumRows(query.goal) == 0) {
+      dprime = compiled_query.Eval(std::move(dprime), nullptr, eopts);
+      if (dprime.NumRows(query.goal) == 0) {
         all_hold = false;
         return false;
       }

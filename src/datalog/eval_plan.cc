@@ -117,8 +117,13 @@ CompiledProgram::CompiledProgram(const Program& program) : program_(program) {
   std::vector<int> scc = SccIds(idbs.size(), adj, &num_sccs);
   strata_.resize(num_sccs);
   for (size_t i = 0; i < idbs.size(); ++i) {
-    strata_[scc[i]].preds.insert(idbs[i]);
+    strata_[scc[i]].preds.push_back(idbs[i]);  // idbs is sorted
   }
+  auto slot_of = [&](int stratum, PredId p) {
+    const std::vector<PredId>& list = strata_[stratum].preds;
+    return static_cast<uint32_t>(
+        std::lower_bound(list.begin(), list.end(), p) - list.begin());
+  };
 
   for (const Rule& rule : program_.rules()) {
     RulePlan plan;
@@ -126,12 +131,15 @@ CompiledProgram::CompiledProgram(const Program& program) : program_(program) {
     plan.body = rule.body;
     plan.num_vars = rule.num_vars();
     int stratum = scc[node_of.at(rule.head.pred)];
-    const auto& stratum_preds = strata_[stratum].preds;
+    const Stratum& st = strata_[stratum];
     for (int i = 0; i < static_cast<int>(rule.body.size()); ++i) {
-      if (stratum_preds.count(rule.body[i].pred)) {
+      if (st.Has(rule.body[i].pred)) {
         plan.recursive_atoms.push_back(i);
+        plan.rec_slots.push_back(slot_of(stratum, rule.body[i].pred));
       }
     }
+    plan.head_slot = slot_of(stratum, rule.head.pred);
+    max_vars_ = std::max(max_vars_, plan.num_vars);
     // Fixed planning inputs per delta seat (seat 0 = the initial full
     // join), so re-planning during a run rebuilds none of this.
     plan.seats.resize(1 + plan.recursive_atoms.size());
@@ -244,17 +252,20 @@ std::string CompiledProgram::DescribePlansText() const {
 
 void CompiledProgram::Join(const RulePlan& plan,
                            const std::vector<uint32_t>& order, size_t depth,
-                           std::vector<ElemId>& map, const Instance& target,
+                           JoinFrame& frame, const Instance& target,
                            size_t* probes, std::vector<size_t>* step_rows,
                            DerivedBuffer* out) const {
+  std::vector<ElemId>& map = frame.map;
   if (depth == order.size()) {
-    std::vector<ElemId> head_args;
-    head_args.reserve(plan.head.args.size());
-    for (VarId v : plan.head.args) head_args.push_back(map[v]);
-    // Facts already in the target are filtered here; duplicates derived
-    // within the same round are deduplicated at the merge barrier.
-    if (!target.HasFact(plan.head.pred, head_args)) {
-      out->args.insert(out->args.end(), head_args.begin(), head_args.end());
+    // Stage the head straight into the buffer and roll it back when the
+    // target already holds it; duplicates derived within the same round
+    // are deduplicated at the merge barrier.
+    const size_t at = out->args.size();
+    for (VarId v : plan.head.args) out->args.push_back(map[v]);
+    if (target.HasFact(plan.head.pred,
+                       std::span<const ElemId>(out->args).subspan(at))) {
+      out->args.resize(at);
+    } else {
       ++out->count;
     }
     return;
@@ -274,16 +285,17 @@ void CompiledProgram::Join(const RulePlan& plan,
       anchor = pos;
     }
   }
-  std::vector<VarId> bound_here;
+  // This depth's bindings stack above `base` on the frame.
+  std::vector<VarId>& bound = frame.bound;
+  const size_t base = bound.size();
   auto try_row = [&](uint32_t row) {
     const std::span<const ElemId> targs = target.Args(atom.pred, row);
-    bound_here.clear();
     bool ok = true;
     for (size_t pos = 0; pos < atom.args.size(); ++pos) {
       VarId v = atom.args[pos];
       if (map[v] == kNoElem) {
         map[v] = targs[pos];
-        bound_here.push_back(v);
+        bound.push_back(v);
       } else if (map[v] != targs[pos]) {
         ok = false;
         break;
@@ -291,9 +303,10 @@ void CompiledProgram::Join(const RulePlan& plan,
     }
     if (ok) {
       if (step_rows) ++(*step_rows)[depth];
-      Join(plan, order, depth + 1, map, target, probes, step_rows, out);
+      Join(plan, order, depth + 1, frame, target, probes, step_rows, out);
     }
-    for (VarId v : bound_here) map[v] = kNoElem;
+    for (size_t i = base; i < bound.size(); ++i) map[bound[i]] = kNoElem;
+    bound.resize(base);
   };
   if (anchor < 0) {
     const uint32_t n = target.NumRows(atom.pred);
@@ -306,7 +319,8 @@ void CompiledProgram::Join(const RulePlan& plan,
 }
 
 void CompiledProgram::RunItem(const WorkItem& item, const Instance& target,
-                              size_t* probes, DerivedBuffer* out) const {
+                              JoinFrame& frame, size_t* probes,
+                              DerivedBuffer* out) const {
   if (item.kernel != nullptr) {
     KernelCounters c{0, item.step_rows, item.seedings};
     if (item.rec < 0) {
@@ -319,23 +333,22 @@ void CompiledProgram::RunItem(const WorkItem& item, const Instance& target,
   }
   const RulePlan& plan = plans_[item.plan];
   const std::vector<uint32_t>& order = *item.order;
-  std::vector<ElemId> map(plan.num_vars, kNoElem);
   if (item.rec < 0) {
     if (item.seedings) ++(*item.seedings);
-    Join(plan, order, 0, map, target, probes, item.step_rows, out);
+    Join(plan, order, 0, frame, target, probes, item.step_rows, out);
     return;
   }
   const QAtom& delta_atom = plan.body[plan.recursive_atoms[item.rec]];
-  std::vector<VarId> bound_here;
+  std::vector<ElemId>& map = frame.map;
+  std::vector<VarId>& bound = frame.bound;
   for (uint32_t row : *item.delta_rows) {
     const std::span<const ElemId> fargs = target.Args(item.delta_pred, row);
-    bound_here.clear();
     bool ok = true;
     for (size_t pos = 0; pos < delta_atom.args.size(); ++pos) {
       VarId v = delta_atom.args[pos];
       if (map[v] == kNoElem) {
         map[v] = fargs[pos];
-        bound_here.push_back(v);
+        bound.push_back(v);
       } else if (map[v] != fargs[pos]) {
         ok = false;
         break;
@@ -343,9 +356,10 @@ void CompiledProgram::RunItem(const WorkItem& item, const Instance& target,
     }
     if (ok) {
       if (item.seedings) ++(*item.seedings);
-      Join(plan, order, 0, map, target, probes, item.step_rows, out);
+      Join(plan, order, 0, frame, target, probes, item.step_rows, out);
     }
-    for (VarId v : bound_here) map[v] = kNoElem;
+    for (VarId v : bound) map[v] = kNoElem;
+    bound.clear();
   }
 }
 
@@ -354,15 +368,51 @@ Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
   return Eval(Instance(input), stats, options);
 }
 
+/// Eval's buffers that outlive a round and a call: per-worker binding
+/// frames, the round's work items with their derived-head buffers and
+/// probe counts, and the delta partition. Each thread keeps one (Eval),
+/// so a loop of µs-scale evaluations reuses their capacity instead of
+/// reallocating it per round and per call.
+struct CompiledProgram::EvalScratch {
+  bool in_use = false;  // a nested Eval on this thread takes a fresh one
+  std::vector<JoinFrame> frames;       // per worker
+  std::vector<WorkItem> items;         // the current round
+  std::vector<DerivedBuffer> derived;  // per item
+  std::vector<size_t> probes;          // per item
+  // The previous round's new facts as row lists, one per predicate of the
+  // current stratum, in the order of its `preds`.
+  std::vector<std::vector<uint32_t>> delta;
+};
+
 Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
                                const EvalOptions& options) const {
-  auto t_start = std::chrono::steady_clock::now();
+  // Timings and per-stratum records are built only for a caller that
+  // reads them.
+  const bool timed = stats != nullptr;
+  const auto t_start =
+      timed ? std::chrono::steady_clock::now()
+            : std::chrono::steady_clock::time_point{};
   // The size gates below read the input as passed; `result` takes it over
   // and grows from there.
   const size_t input_facts = input.num_facts();
   Instance result = std::move(input);
   const int nthreads = ResolveEvalThreads(options.num_threads);
   EvalStats run;
+
+  thread_local EvalScratch tls_scratch;
+  EvalScratch nested_scratch;
+  EvalScratch& scratch = tls_scratch.in_use ? nested_scratch : tls_scratch;
+  scratch.in_use = true;
+  if (scratch.frames.size() < static_cast<size_t>(nthreads)) {
+    scratch.frames.resize(nthreads);
+  }
+  for (int w = 0; w < nthreads; ++w) {
+    scratch.frames[w].map.assign(max_vars_, kNoElem);
+    scratch.frames[w].bound.clear();
+    scratch.frames[w].bound.reserve(max_vars_);
+  }
+  std::vector<WorkItem>& items = scratch.items;
+  std::vector<std::vector<uint32_t>>& delta = scratch.delta;
 
   // With the stats planner on (the default), collect live stats from the
   // evolving result and re-plan as relations grow; with the planner off —
@@ -386,45 +436,52 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
   const bool use_kernels =
       options.compiled_kernels && input_facts >= options.kernel_min_facts &&
       (options.kernel_min_facts == 0 || input_facts >= plans_.size() * 4);
+  // Per-seat tables exist for live planning, kernels and plan_stats; the
+  // stored orders need none.
+  const bool use_seats = live_stats || use_kernels || options.plan_stats;
   Stats live;
   if (live_stats) live = Stats::Collect(result);
 
-  // Runs one round of work items, merges their derivations into `result`
+  // Runs the round's work `items`, merges their derivations into `result`
   // in item order — this makes the fact insertion order independent of
-  // the thread count — and returns the newly added facts (the delta) as
-  // global fact ids into `result`.
-  auto run_round = [&](const std::vector<WorkItem>& items,
-                       StratumStats* ss) {
-    std::vector<DerivedBuffer> derived(items.size());
-    std::vector<size_t> probes(items.size(), 0);
-    int workers = std::min<int>(nthreads, static_cast<int>(items.size()));
+  // the thread count — and refills `delta` with the rows they added.
+  // Returns how many facts that was.
+  auto run_round = [&](StratumStats* ss, size_t num_preds) {
+    const size_t n = items.size();
+    if (scratch.derived.size() < n) scratch.derived.resize(n);
+    for (size_t i = 0; i < n; ++i) scratch.derived[i].clear();
+    scratch.probes.assign(n, 0);
+    int workers = std::min<int>(nthreads, static_cast<int>(n));
     if (workers > 1) {
       // Freeze the indexes so the fan-out only ever reads `result`.
       result.PrepareIndexes();
-      ThreadPool::Shared().ParallelFor(
-          items.size(), workers, [&](size_t i, int worker) {
-            (void)worker;
-            RunItem(items[i], result, &probes[i], &derived[i]);
-          });
+      ThreadPool::Shared().ParallelFor(n, workers, [&](size_t i, int worker) {
+        RunItem(items[i], result, scratch.frames[worker], &scratch.probes[i],
+                &scratch.derived[i]);
+      });
     } else {
-      for (size_t i = 0; i < items.size(); ++i) {
-        RunItem(items[i], result, &probes[i], &derived[i]);
+      for (size_t i = 0; i < n; ++i) {
+        RunItem(items[i], result, scratch.frames[0], &scratch.probes[i],
+                &scratch.derived[i]);
       }
     }
-    std::vector<uint32_t> added;
-    for (size_t i = 0; i < items.size(); ++i) {
-      ss->join_probes += probes[i];
+    // The items have run, so the rows they read are free to refill.
+    for (size_t p = 0; p < num_preds; ++p) delta[p].clear();
+    size_t added = 0;
+    for (size_t i = 0; i < n; ++i) {
+      ss->join_probes += scratch.probes[i];
       const RulePlan& plan = plans_[items[i].plan];
+      const PredId head = plan.head.pred;
       const size_t ar = plan.head.args.size();
-      const ElemId* a = derived[i].args.data();
-      for (size_t j = 0; j < derived[i].count; ++j) {
-        if (result.AddFact(plan.head.pred,
-                           std::span<const ElemId>(a + j * ar, ar))) {
-          added.push_back(static_cast<uint32_t>(result.num_facts() - 1));
+      const ElemId* a = scratch.derived[i].args.data();
+      for (size_t j = 0; j < scratch.derived[i].count; ++j) {
+        if (result.AddFact(head, std::span<const ElemId>(a + j * ar, ar))) {
+          delta[plan.head_slot].push_back(result.NumRows(head) - 1);
+          ++added;
         }
       }
     }
-    ss->facts_derived += added.size();
+    ss->facts_derived += added;
     return added;
   };
 
@@ -444,22 +501,24 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
 
   // Preds of the previous stratum, whose live counts go stale on entry to
   // the next one.
-  std::vector<PredId> prev_preds;
+  const std::vector<PredId>* prev_preds = nullptr;
 
   for (const Stratum& stratum : strata_) {
     StratumStats ss;
-    auto t0 = std::chrono::steady_clock::now();
-    std::vector<PredId> stratum_preds(stratum.preds.begin(),
-                                      stratum.preds.end());
-    std::sort(stratum_preds.begin(), stratum_preds.end());
-    if (live_stats) recount(prev_preds, &ss);
+    const auto t0 = timed ? std::chrono::steady_clock::now()
+                          : std::chrono::steady_clock::time_point{};
+    const std::vector<PredId>& stratum_preds = stratum.preds;
+    if (live_stats && prev_preds != nullptr) recount(*prev_preds, &ss);
+    if (delta.size() < stratum_preds.size()) {
+      delta.resize(stratum_preds.size());
+    }
 
-    // The join orders this stratum runs with: per (plan-in-stratum, seat),
-    // seat 0 = the initial full join, seat 1 + i = recursive atom i.
-    // Planned live into `planned`/`planned_est`, else pointing at the
-    // stored orders, which are not copied. `actual` accumulates measured
-    // per-step rows (plan_stats only) and resets on re-plan so it always
-    // matches the order it was measured under.
+    // The join orders this stratum runs with, when use_seats: per
+    // (plan-in-stratum, seat), seat 0 = the initial full join, seat 1 + i
+    // = recursive atom i. Planned live into `planned`/`planned_est`, else
+    // pointing at the stored orders, which are not copied. `actual`
+    // accumulates measured per-step rows (plan_stats only) and resets on
+    // re-plan so it always matches the order it was measured under.
     struct SeatPlan {
       const std::vector<uint32_t>* order = nullptr;
       const std::vector<double>* est = nullptr;
@@ -473,7 +532,7 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
       // every re-plan, since the kernel bakes the order in.
       uint8_t kernel_state = 0;
     };
-    std::vector<std::vector<SeatPlan>> seats(stratum.plans.size());
+    std::vector<std::vector<SeatPlan>> seats;
     auto plan_seats = [&](bool initial) {
       for (size_t k = 0; k < stratum.plans.size(); ++k) {
         const RulePlan& plan = plans_[stratum.plans[k]];
@@ -491,7 +550,7 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
             sp[s].est = &plan.est_rows[s];
           }
           // The planned order invalidates any kernel lowered from the
-          // previous one; kernel_for re-lowers on the seat's next run.
+          // previous one; the seat re-lowers on its next run.
           sp[s].kernel_state = 0;
           if (options.plan_stats) {
             sp[s].actual.assign(sp[s].order->size(), 0);
@@ -500,20 +559,31 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
         }
       }
     };
-    plan_seats(true);
+    if (use_seats) {
+      seats.resize(stratum.plans.size());
+      plan_seats(true);
+    }
 
-    // Lowers seat (k, s)'s planned order into a compiled kernel on first
-    // use, so evals whose seats never run (converged strata, empty delta
-    // predicates, µs-scale instances) pay nothing. Called only from the
-    // sequential work-item assembly, never from workers.
-    auto kernel_for = [&](size_t k, size_t s) -> const JoinKernel* {
+    // The work item firing seat `s` of the stratum's plan `k`: its order
+    // and counters from the seat table when there is one, else the stored
+    // order. A seat's kernel is lowered on first use, so evals whose seats
+    // never run (converged strata, empty delta predicates, µs-scale
+    // instances) pay nothing. Called only from the sequential work-item
+    // assembly, never from workers.
+    auto seat_item = [&](size_t k, size_t s) {
+      WorkItem w;
+      w.plan = stratum.plans[k];
+      const RulePlan& plan = plans_[w.plan];
+      if (!use_seats) {
+        w.order = &plan.orders[s];
+        return w;
+      }
       SeatPlan& sp = seats[k][s];
+      w.order = sp.order;
       if (sp.kernel_state == 0) {
-        const RulePlan& plan = plans_[stratum.plans[k]];
         if (use_kernels &&
             KernelSupported(plan.head, plan.body, plan.num_vars)) {
-          const int seat_atom =
-              s == 0 ? -1 : plan.recursive_atoms[s - 1];
+          const int seat_atom = s == 0 ? -1 : plan.recursive_atoms[s - 1];
           sp.kernel = BuildKernel(plan.head, plan.body, plan.num_vars,
                                   seat_atom, *sp.order);
           sp.kernel_state = 1;
@@ -521,7 +591,12 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
           sp.kernel_state = 2;
         }
       }
-      return sp.kernel_state == 1 ? &sp.kernel : nullptr;
+      if (sp.kernel_state == 1) w.kernel = &sp.kernel;
+      if (options.plan_stats) {
+        w.step_rows = &sp.actual;
+        w.seedings = &sp.seedings;
+      }
+      return w;
     };
 
     // Cardinalities the current orders were planned under; a stratum
@@ -537,24 +612,15 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
     // Initial round: every rule of the stratum joins the full current
     // result (lower strata are saturated; input IDB facts participate,
     // as in the paper's Prop. 4 usage).
-    std::vector<WorkItem> round0;
-    round0.reserve(stratum.plans.size());
+    items.clear();
     for (size_t k = 0; k < stratum.plans.size(); ++k) {
-      WorkItem w;
-      w.plan = stratum.plans[k];
-      w.order = seats[k][0].order;
-      w.kernel = kernel_for(k, 0);
-      if (options.plan_stats) {
-        w.step_rows = &seats[k][0].actual;
-        w.seedings = &seats[k][0].seedings;
-      }
-      round0.push_back(w);
+      items.push_back(seat_item(k, 0));
     }
     ss.iterations = 1;
-    std::vector<uint32_t> delta = run_round(round0, &ss);
+    size_t added = run_round(&ss, stratum_preds.size());
     // Delta rounds: each new derivation must use a previous-round fact in
     // some recursive body atom.
-    while (!delta.empty()) {
+    while (added > 0) {
       if (live_stats) {
         // A stratum relation appearing or doubling since the last plan
         // invalidates its estimates — but below kReplanMinFacts the joins
@@ -578,42 +644,30 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
           ++ss.replans;
         }
       }
-      // Partition the delta's global ids into per-predicate row lists —
-      // the coordinates kernels and the interpreter consume directly.
-      std::unordered_map<PredId, std::vector<uint32_t>> by_pred;
-      for (uint32_t g : delta) {
-        const auto [p, row] = result.Locate(g);
-        by_pred[p].push_back(row);
-      }
-      std::vector<WorkItem> items;
+      // One item per recursive seat whose predicate gained rows, seeded
+      // from exactly those rows — the coordinates kernels and the
+      // interpreter consume directly.
+      items.clear();
       for (size_t k = 0; k < stratum.plans.size(); ++k) {
-        const uint32_t pi = stratum.plans[k];
-        const RulePlan& plan = plans_[pi];
+        const RulePlan& plan = plans_[stratum.plans[k]];
         for (int r = 0; r < static_cast<int>(plan.recursive_atoms.size());
              ++r) {
           if (FaultSkipDeltaSeat() &&
               r == static_cast<int>(plan.recursive_atoms.size()) - 1) {
             continue;
           }
-          auto it = by_pred.find(plan.body[plan.recursive_atoms[r]].pred);
-          if (it == by_pred.end()) continue;
-          WorkItem w;
-          w.plan = pi;
+          const std::vector<uint32_t>& rows = delta[plan.rec_slots[r]];
+          if (rows.empty()) continue;
+          WorkItem w = seat_item(k, 1 + r);
           w.rec = r;
-          w.delta_pred = it->first;
-          w.delta_rows = &it->second;
-          w.order = seats[k][1 + r].order;
-          w.kernel = kernel_for(k, 1 + r);
-          if (options.plan_stats) {
-            w.step_rows = &seats[k][1 + r].actual;
-            w.seedings = &seats[k][1 + r].seedings;
-          }
+          w.delta_pred = plan.body[plan.recursive_atoms[r]].pred;
+          w.delta_rows = &rows;
           items.push_back(w);
         }
       }
       if (items.empty()) break;
       ++ss.iterations;
-      delta = run_round(items, &ss);
+      added = run_round(&ss, stratum_preds.size());
     }
     if (options.plan_stats) {
       for (size_t k = 0; k < stratum.plans.size(); ++k) {
@@ -632,17 +686,22 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
         }
       }
     }
-    ss.wall_seconds = SecondsSince(t0);
     run.iterations += ss.iterations;
     run.facts_derived += ss.facts_derived;
     run.join_probes += ss.join_probes;
     run.replans += ss.replans;
     run.stats_facts_counted += ss.stats_facts_counted;
-    run.strata.push_back(std::move(ss));
-    prev_preds = std::move(stratum_preds);
+    if (timed) {
+      ss.wall_seconds = SecondsSince(t0);
+      run.strata.push_back(std::move(ss));
+    }
+    prev_preds = &stratum_preds;
   }
-  run.wall_seconds = SecondsSince(t_start);
-  if (stats) stats->Accumulate(run);
+  scratch.in_use = false;
+  if (timed) {
+    run.wall_seconds = SecondsSince(t_start);
+    stats->Accumulate(run);
+  }
   return result;
 }
 
@@ -771,9 +830,7 @@ Instance CompiledProgram::Materialize(const Instance& input,
                    return true;
                  });
     }
-    std::vector<PredId> preds(st.preds.begin(), st.preds.end());
-    std::sort(preds.begin(), preds.end());
-    for (PredId p : preds) {
+    for (PredId p : st.preds) {
       const uint32_t n = m.NumRows(p);
       for (uint32_t row = 0; row < n; ++row) {
         const std::span<const ElemId> args = m.Args(p, row);
@@ -988,7 +1045,7 @@ void CompiledProgram::MaintainDRed(
   auto lower_old = [&](const RulePlan& plan) {
     std::vector<uint8_t> ro(plan.body.size(), 0);
     for (size_t j = 0; j < plan.body.size(); ++j) {
-      if (!st.preds.count(plan.body[j].pred)) ro[j] = 1;
+      if (!st.Has(plan.body[j].pred)) ro[j] = 1;
     }
     return ro;
   };
@@ -1010,7 +1067,7 @@ void CompiledProgram::MaintainDRed(
     const RulePlan& plan = plans_[pi];
     const std::vector<uint8_t> ro = lower_old(plan);
     for (size_t i = 0; i < plan.body.size(); ++i) {
-      if (st.preds.count(plan.body[i].pred)) continue;
+      if (st.Has(plan.body[i].pred)) continue;
       auto it = changed.find(plan.body[i].pred);
       if (it == changed.end() || it->second.del.empty()) continue;
       for (const Fact& df : it->second.del) seed_deletion(plan, i, df, ro);
@@ -1085,7 +1142,7 @@ void CompiledProgram::MaintainDRed(
   for (uint32_t pi : st.plans) {
     const RulePlan& plan = plans_[pi];
     for (size_t i = 0; i < plan.body.size(); ++i) {
-      if (st.preds.count(plan.body[i].pred)) continue;
+      if (st.Has(plan.body[i].pred)) continue;
       auto it = changed.find(plan.body[i].pred);
       if (it == changed.end() || it->second.ins.empty()) continue;
       for (const Fact& df : it->second.ins) seed_insertion(plan, i, df);

@@ -1,6 +1,7 @@
 #ifndef MONDET_DATALOG_EVAL_PLAN_H_
 #define MONDET_DATALOG_EVAL_PLAN_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <optional>
@@ -269,6 +270,10 @@ class CompiledProgram {
     std::vector<QAtom> body;
     size_t num_vars = 0;
     std::vector<int> recursive_atoms;  // body indices over same-SCC preds
+    // Positions in the stratum's `preds` of the head predicate and of
+    // each recursive atom's predicate: Eval's delta partition slots.
+    uint32_t head_slot = 0;
+    std::vector<uint32_t> rec_slots;
     // seats[0]: the initial full join; seats[1 + i]: recursive_atoms[i]
     // as the delta seat. orders/est_rows align with seats; est_rows
     // entries are empty unless stats are bound.
@@ -278,8 +283,12 @@ class CompiledProgram {
   };
   struct Stratum {
     std::vector<uint32_t> plans;       // indices into plans_, program order
-    std::unordered_set<PredId> preds;  // the SCC's predicates
+    std::vector<PredId> preds;         // the SCC's predicates, sorted
     bool recursive = false;  // some rule has a same-SCC body atom
+
+    bool Has(PredId p) const {
+      return std::binary_search(preds.begin(), preds.end(), p);
+    }
   };
   /// The recorded membership changes of one predicate during Maintain:
   /// `ins`/`del` in deterministic discovery order, `ins_set` for the
@@ -307,6 +316,18 @@ class CompiledProgram {
     size_t* seedings = nullptr;                // successful join seedings
   };
 
+  /// One worker's binding state for the interpreter: `map` sends each
+  /// variable to its element (kNoElem when unbound) and `bound` stacks the
+  /// variables bound by the atoms being matched, deepest last, so each
+  /// join depth unbinds exactly its own. Both are sized once per Eval
+  /// (max_vars_) and are all-unbound between work items.
+  struct JoinFrame {
+    std::vector<ElemId> map;
+    std::vector<VarId> bound;
+  };
+  /// Eval's buffers that outlive a round and a call (eval_plan.cc).
+  struct EvalScratch;
+
   /// Computes the join order for seat `seat` of `plan` (0 = full join,
   /// 1 + i = recursive atom i): selectivity-scored when `stats` is set,
   /// EDB-first greedy otherwise. `est_rows`, if non-null, receives the
@@ -315,10 +336,10 @@ class CompiledProgram {
                                   const Stats* stats,
                                   std::vector<double>* est_rows) const;
 
-  void RunItem(const WorkItem& item, const Instance& target, size_t* probes,
-               DerivedBuffer* out) const;
+  void RunItem(const WorkItem& item, const Instance& target, JoinFrame& frame,
+               size_t* probes, DerivedBuffer* out) const;
   void Join(const RulePlan& plan, const std::vector<uint32_t>& order,
-            size_t depth, std::vector<ElemId>& map, const Instance& target,
+            size_t depth, JoinFrame& frame, const Instance& target,
             size_t* probes, std::vector<size_t>* step_rows,
             DerivedBuffer* out) const;
 
@@ -358,6 +379,7 @@ class CompiledProgram {
   std::vector<RulePlan> plans_;
   std::vector<Stratum> strata_;
   std::unordered_map<PredId, size_t> stratum_of_;  // IDB pred -> stratum
+  size_t max_vars_ = 0;  // the most variables any rule has
   std::optional<Stats> bound_stats_;
 };
 

@@ -100,7 +100,8 @@ std::optional<std::string> DiffEvalStats(const EvalStats& a,
 // Port of tests/eval_differential_test.cc: naive reference vs semi-naive
 // at 1 and 4 threads — same set vs the oracle, same *sequence* and stats
 // across thread counts — plus the move path: an input handed over as an
-// rvalue evaluates exactly like a copied one.
+// rvalue evaluates exactly like a copied one, and so does one refilled
+// into a cleared buffer that held a larger fixpoint.
 
 class EvalOracle : public Oracle {
  public:
@@ -157,6 +158,28 @@ class EvalOracle : public Oracle {
       Instance by_move = compiled.Eval(Instance(inst), &s_move, o);
       if (auto d = DiffSequences(by_copy, by_move, tag)) return Fail(c, *d);
       if (auto d = DiffEvalStats(s_copy, s_move, tag)) return Fail(c, *d);
+
+      // Recycled buffer, the canonical-test loops' pattern: a larger
+      // fixpoint (the input twice over, disjointly) is cleared, refilled
+      // with the input and evaluated again; its retained storage must not
+      // show in the facts, their order or the counters.
+      const std::string rtag =
+          "fresh vs recycled " + std::to_string(threads) + "T";
+      Instance twice(inst);
+      twice.DisjointUnionWith(inst);
+      Instance buffer = compiled.Eval(std::move(twice), nullptr, o);
+      buffer.Clear();
+      buffer.EnsureElements(inst.num_elements());
+      for (uint32_t g = 0; g < n; ++g) {
+        const FactView f = inst.ViewAt(g);
+        buffer.AddFact(f.pred, f.args);
+      }
+      EvalStats s_recycled;
+      buffer = compiled.Eval(std::move(buffer), &s_recycled, o);
+      if (auto d = DiffSequences(by_move, buffer, rtag)) return Fail(c, *d);
+      if (auto d = DiffEvalStats(s_move, s_recycled, rtag)) {
+        return Fail(c, *d);
+      }
       for (const StratumStats& ss : s_move.strata) {
         for (const JoinSeatStats& seat : ss.seats) {
           if (!seat.order.empty() && seat.est_rows.empty()) {

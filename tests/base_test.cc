@@ -4,6 +4,7 @@
 #include <atomic>
 #include <numeric>
 #include <span>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -135,6 +136,86 @@ TEST(Instance, DisjointUnion) {
   EXPECT_EQ(a.num_elements(), before + b.num_elements());
   EXPECT_EQ(a.num_facts(), 5u);
   EXPECT_EQ(translation.size(), b.num_elements());
+}
+
+TEST(Instance, ClearKeepsNothingButCapacity) {
+  auto vocab = MakeVocabulary();
+  PredId r = vocab->AddPredicate("R", 2);
+  PredId s = vocab->AddPredicate("S", 1);
+  PredId z = vocab->AddPredicate("Z", 0);
+
+  // A well-used instance: named elements, facts added and removed,
+  // positional indexes built and then maintained through both.
+  Instance used(vocab);
+  for (int i = 0; i < 9; ++i) used.AddElement("old" + std::to_string(i));
+  for (ElemId a = 0; a < 9; ++a) {
+    used.AddFact(r, {a, static_cast<ElemId>((a * 4) % 9)});
+    used.AddFact(s, {a});
+  }
+  used.AddFact(z, std::vector<ElemId>{});
+  EXPECT_EQ(used.RowsWith(r, 0, 8).size(), 1u);
+  used.PrepareIndexes();
+  used.RemoveFact(r, {2, 8});
+  used.RemoveFact(s, {0});
+  used.AddFact(r, {8, 8});
+  used.SetFactCount(Fact(s, {3}), 5);
+  used.Clear();
+
+  EXPECT_EQ(used.num_facts(), 0u);
+  EXPECT_EQ(used.num_elements(), 0u);
+  EXPECT_TRUE(used.ActiveDomain().empty());
+  EXPECT_FALSE(used.HasFact(z, std::vector<ElemId>{}));
+  EXPECT_EQ(used.NumRows(r), 0u);
+  EXPECT_TRUE(used.RowsWith(r, 0, 8).empty());
+
+  // Refill it and a fresh instance identically: fewer elements than
+  // before, one value above any seen before, a probe between insertions
+  // (so an index is rebuilt, then maintained), and the nullary fact.
+  auto fill = [&](Instance& inst) {
+    inst.AddElement("a");
+    inst.AddElement();
+    inst.AddElement("c");
+    inst.AddFact(r, {1, 0});
+    inst.AddFact(s, {2});
+    EXPECT_EQ(inst.RowsWith(r, 0, 1).size(), 1u);
+    inst.EnsureElements(12);
+    inst.AddFact(r, {1, 11});
+    inst.AddFact(r, {11, 2});
+    inst.AddFact(z, std::vector<ElemId>{});
+    inst.AddFact(s, {11});
+    inst.RemoveFact(s, {2});
+  };
+  Instance fresh(vocab);
+  fill(used);
+  fill(fresh);
+
+  EXPECT_EQ(used.AllFacts(), fresh.AllFacts());
+  EXPECT_EQ(used.ActiveDomain(), fresh.ActiveDomain());
+  ASSERT_EQ(used.num_elements(), fresh.num_elements());
+  EXPECT_EQ(used.HasFact(z, std::vector<ElemId>{}),
+            fresh.HasFact(z, std::vector<ElemId>{}));
+  for (ElemId a = 0; a < 14; ++a) {
+    if (a < fresh.num_elements()) {
+      EXPECT_EQ(used.Degree(a), fresh.Degree(a)) << a;
+      EXPECT_EQ(used.element_name(a), fresh.element_name(a)) << a;
+    }
+    EXPECT_EQ(used.HasFact(s, {a}), fresh.HasFact(s, {a})) << a;
+    for (ElemId b = 0; b < 14; ++b) {
+      EXPECT_EQ(used.HasFact(r, {a, b}), fresh.HasFact(r, {a, b}))
+          << a << "," << b;
+    }
+    for (PredId p : {r, s}) {
+      for (int pos = 0; pos < vocab->arity(p); ++pos) {
+        const std::span<const uint32_t> u = used.RowsWith(p, pos, a);
+        const std::span<const uint32_t> f = fresh.RowsWith(p, pos, a);
+        EXPECT_TRUE(std::equal(u.begin(), u.end(), f.begin(), f.end()))
+            << vocab->name(p) << " pos " << pos << " val " << a;
+      }
+    }
+  }
+  for (const Fact& f : fresh.AllFacts()) {
+    EXPECT_EQ(used.FactCount(f), fresh.FactCount(f));
+  }
 }
 
 TEST(Gaifman, PathRadiusAndConnectivity) {
