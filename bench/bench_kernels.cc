@@ -3,13 +3,10 @@
 // (kProbe1, the transitive-closure join), the two-position binary-min
 // probe (kProbe2, two bound positions of a wider atom), the fully-bound
 // membership filter (kMembership), and the unbound scan (kScan) —
-// through the real evaluator, once with the kernel plane and once
-// through the generic interpreter (EvalOptions::compiled_kernels =
-// false, the escape hatch). The on/off pair shares one workload, so
-// their time delta is the kernel's worth on that shape and nothing
-// else; kernel_differential_test pins that the outputs are
-// byte-identical. Every benchmark self-checks the on/off fact counts in
-// SetLabel, and bench_snapshot.sh records the family in
+// through the real evaluator, whose only join executor is the kernel.
+// Every benchmark self-checks in SetLabel that the compile-time
+// (EDB-first) orders, lowered to different kernels, reach a fixpoint of
+// the same size, and bench_snapshot.sh records the family in
 // BENCH_kernels.json.
 
 #include <benchmark/benchmark.h>
@@ -24,8 +21,7 @@
 namespace mondet {
 namespace {
 
-/// A workload is a program (by text) plus an instance builder; the
-/// benchmark pair evaluates it with kernels on and off.
+/// A workload is a program (by text) plus an instance builder.
 struct Workload {
   VocabularyPtr vocab = MakeVocabulary();
   std::optional<Program> program;
@@ -125,14 +121,9 @@ Workload ScanWorkload(int n) {
   return w;
 }
 
-void RunShape(benchmark::State& state, const Workload& w, bool kernels) {
+void RunShape(benchmark::State& state, const Workload& w) {
   CompiledProgram compiled(*w.program);
-  EvalOptions options;
-  options.num_threads = 1;
-  options.compiled_kernels = kernels;
-  // Defeat the size gate: these microbenches measure the kernel plane
-  // itself, including on the 64-node workloads below the default gate.
-  options.kernel_min_facts = 0;
+  EvalOptions options;  // threads from MONDET_THREADS (bench_snapshot.sh)
   EvalStats stats;
   size_t facts = 0;
   for (auto _ : state) {
@@ -140,56 +131,36 @@ void RunShape(benchmark::State& state, const Workload& w, bool kernels) {
     Instance fix = compiled.Eval(w.inst, &stats, options);
     facts = fix.num_facts();
   }
-  // The escape-hatch cross-check: the other plane derives the same
-  // number of facts on this workload (byte-identity is pinned by
-  // kernel_differential_test; the count here keeps the bench honest).
-  EvalOptions other = options;
-  other.compiled_kernels = !kernels;
-  const size_t other_facts = compiled.Eval(w.inst, nullptr, other).num_facts();
+  EvalOptions stored = options;
+  stored.stats_planner = false;
+  const size_t want = compiled.Eval(w.inst, nullptr, stored).num_facts();
   state.counters["facts"] = static_cast<double>(facts);
   state.counters["facts_derived"] = static_cast<double>(stats.facts_derived);
   state.counters["join_probes"] = static_cast<double>(stats.join_probes);
-  state.SetLabel(facts == other_facts
-                     ? (kernels ? "compiled kernels" : "generic interpreter")
-                     : "UNEXPECTED: kernels on/off disagree");
+  state.SetLabel(facts == want
+                     ? "compiled kernels"
+                     : "UNEXPECTED: planned and compile-time orders disagree");
 }
 
 void BM_Kernel_Probe1(benchmark::State& state) {
-  RunShape(state, Probe1Workload(static_cast<int>(state.range(0))), true);
-}
-void BM_Kernel_Probe1_Off(benchmark::State& state) {
-  RunShape(state, Probe1Workload(static_cast<int>(state.range(0))), false);
+  RunShape(state, Probe1Workload(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_Kernel_Probe1)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_Kernel_Probe1_Off)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_Kernel_Probe2(benchmark::State& state) {
-  RunShape(state, Probe2Workload(static_cast<int>(state.range(0))), true);
-}
-void BM_Kernel_Probe2_Off(benchmark::State& state) {
-  RunShape(state, Probe2Workload(static_cast<int>(state.range(0))), false);
+  RunShape(state, Probe2Workload(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_Kernel_Probe2)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_Kernel_Probe2_Off)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_Kernel_Membership(benchmark::State& state) {
-  RunShape(state, MembershipWorkload(static_cast<int>(state.range(0))), true);
-}
-void BM_Kernel_Membership_Off(benchmark::State& state) {
-  RunShape(state, MembershipWorkload(static_cast<int>(state.range(0))),
-           false);
+  RunShape(state, MembershipWorkload(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_Kernel_Membership)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_Kernel_Membership_Off)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_Kernel_Scan(benchmark::State& state) {
-  RunShape(state, ScanWorkload(static_cast<int>(state.range(0))), true);
-}
-void BM_Kernel_Scan_Off(benchmark::State& state) {
-  RunShape(state, ScanWorkload(static_cast<int>(state.range(0))), false);
+  RunShape(state, ScanWorkload(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_Kernel_Scan)->Arg(64)->Arg(256);
-BENCHMARK(BM_Kernel_Scan_Off)->Arg(64)->Arg(256);
 
 }  // namespace
 }  // namespace mondet

@@ -63,9 +63,6 @@ fi
 # dataflow_soundness_test is the abstract-interpretation soundness
 # oracle (concrete fixpoint contained in the abstract one, dead rules
 # never fire, subsumed rules droppable);
-# kernel_differential_test is the columnar data plane's invisibility
-# oracle (compiled join kernels vs the generic interpreter, byte-
-# identical sequences at 1 and 4 threads);
 # antichain_test is the lazy-inclusion arm: NtaIncluded vs the explicit
 # Complement+Product route, the Thm 5 counterexample goldens, and the
 # antichain-inclusion oracle seed sweep;
@@ -75,13 +72,11 @@ fi
 # base_test covers Instance::Clear, whose emptied index buckets those
 # buffers reuse.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
-cmake --build build-asan -j "$JOBS" --target eval_differential_test plan_differential_test kernel_differential_test stats_test plan_convergence_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test mondet_check_test separator_test base_test mondet-fuzz
+cmake --build build-asan -j "$JOBS" --target eval_differential_test plan_differential_test stats_test plan_convergence_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test mondet_check_test separator_test base_test mondet-fuzz
 MONDET_THREADS=1 ./build-asan/tests/eval_differential_test
 MONDET_THREADS=4 ./build-asan/tests/eval_differential_test
 ./build-asan/tests/dataflow_soundness_test
 ./build-asan/tests/plan_differential_test
-MONDET_THREADS=1 ./build-asan/tests/kernel_differential_test
-MONDET_THREADS=4 ./build-asan/tests/kernel_differential_test
 ./build-asan/tests/stats_test
 ./build-asan/tests/plan_convergence_test
 MONDET_THREADS=1 ./build-asan/tests/maintenance_differential_test
@@ -111,15 +106,15 @@ fi
 # MONDET_FAULT=skip-kernel-row trims the last row of every compiled
 # kernel enumeration; MONDET_FAULT=skip-antichain-prune makes the
 # NtaIncluded subsumption prune bidirectional, i.e. unsound) must be
-# caught by the eval-differential, kernel-differential and
-# antichain-inclusion oracles within the smoke seed budget and shrunk
+# caught — the first two by the eval-differential oracle, the third by
+# antichain-inclusion — within the smoke seed budget and shrunk
 # to <= 5 rules (<= 6 NTA transitions) — proof the harness detects and
 # the shrinker reduces, not just that everything is green.
 ./scripts/check_fuzz_fault.sh ./build-asan/tools/mondet-fuzz
 
 # Race detection: the genuinely multi-threaded oracles — the parallel
 # counterexample search, the maintained-materialization differential,
-# the kernel differential (whose 4T arms run compiled kernels over
+# the plan differential (whose 4T arm runs live-planned kernels over
 # shared column indexes), and the canonical-test loops (per-worker D'
 # buffers and Eval scratch that persist across blocks) — under
 # ThreadSanitizer at 4 workers (the `tsan` CMake preset builds the same
@@ -136,11 +131,11 @@ if printf 'int main(){return 0;}\n' \
         -DMONDET_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS" \
         --target mondet_parallel_test maintenance_differential_test \
-        kernel_differential_test antichain_test mondet_check_test \
+        plan_differential_test antichain_test mondet_check_test \
         separator_test
   MONDET_THREADS=4 ./build-tsan/tests/mondet_parallel_test
   MONDET_THREADS=4 ./build-tsan/tests/maintenance_differential_test
-  MONDET_THREADS=4 ./build-tsan/tests/kernel_differential_test
+  MONDET_THREADS=4 ./build-tsan/tests/plan_differential_test
   MONDET_THREADS=4 ./build-tsan/tests/antichain_test
   MONDET_THREADS=4 ./build-tsan/tests/mondet_check_test
   MONDET_THREADS=4 ./build-tsan/tests/separator_test

@@ -139,7 +139,6 @@ CompiledProgram::CompiledProgram(const Program& program) : program_(program) {
       }
     }
     plan.head_slot = slot_of(stratum, rule.head.pred);
-    max_vars_ = std::max(max_vars_, plan.num_vars);
     // Fixed planning inputs per delta seat (seat 0 = the initial full
     // join), so re-planning during a run rebuilds none of this.
     plan.seats.resize(1 + plan.recursive_atoms.size());
@@ -165,6 +164,7 @@ CompiledProgram::CompiledProgram(const Program& program) : program_(program) {
     for (size_t s = 0; s < plan.seats.size(); ++s) {
       plan.orders.push_back(PlanOrder(plan, s, nullptr, nullptr));
       plan.est_rows.emplace_back();
+      plan.kernels.push_back(plan.Lower(s, plan.orders[s]));
     }
     strata_[stratum].plans.push_back(static_cast<uint32_t>(plans_.size()));
     if (!plan.recursive_atoms.empty()) strata_[stratum].recursive = true;
@@ -209,6 +209,7 @@ void CompiledProgram::BindStats(Stats stats) {
   for (RulePlan& plan : plans_) {
     for (size_t s = 0; s < plan.seats.size(); ++s) {
       plan.orders[s] = PlanOrder(plan, s, &*bound_stats_, &plan.est_rows[s]);
+      plan.kernels[s] = plan.Lower(s, plan.orders[s]);
     }
   }
 }
@@ -220,10 +221,9 @@ std::vector<CompiledProgram::JoinOrderDesc> CompiledProgram::DescribePlans()
   std::vector<JoinOrderDesc> out;
   for (size_t pi = 0; pi < plans_.size(); ++pi) {
     const RulePlan& plan = plans_[pi];
-    out.push_back({pi, -1, plan.orders[0], plan.est_rows[0]});
-    for (size_t r = 0; r < plan.recursive_atoms.size(); ++r) {
-      out.push_back({pi, plan.recursive_atoms[r], plan.orders[1 + r],
-                     plan.est_rows[1 + r]});
+    for (size_t s = 0; s < plan.seats.size(); ++s) {
+      out.push_back({pi, plan.seat_atom(s), plan.orders[s],
+                     plan.est_rows[s]});
     }
   }
   return out;
@@ -250,135 +250,22 @@ std::string CompiledProgram::DescribePlansText() const {
   return os.str();
 }
 
-void CompiledProgram::Join(const RulePlan& plan,
-                           const std::vector<uint32_t>& order, size_t depth,
-                           JoinFrame& frame, const Instance& target,
-                           size_t* probes, std::vector<size_t>* step_rows,
-                           DerivedBuffer* out) const {
-  std::vector<ElemId>& map = frame.map;
-  if (depth == order.size()) {
-    // Stage the head straight into the buffer and roll it back when the
-    // target already holds it; duplicates derived within the same round
-    // are deduplicated at the merge barrier.
-    const size_t at = out->args.size();
-    for (VarId v : plan.head.args) out->args.push_back(map[v]);
-    if (target.HasFact(plan.head.pred,
-                       std::span<const ElemId>(out->args).subspan(at))) {
-      out->args.resize(at);
-    } else {
-      ++out->count;
-    }
-    return;
-  }
-  const QAtom& atom = plan.body[order[depth]];
-  // Probe the tightest index available for the bound positions; a fully
-  // unbound atom falls back to scanning every row of the predicate.
-  std::span<const uint32_t> candidates;
-  int anchor = -1;
-  for (int pos = 0; pos < static_cast<int>(atom.args.size()); ++pos) {
-    ElemId img = map[atom.args[pos]];
-    if (img == kNoElem) continue;
-    const std::span<const uint32_t> idx =
-        target.RowsWith(atom.pred, pos, img);
-    if (anchor < 0 || idx.size() < candidates.size()) {
-      candidates = idx;
-      anchor = pos;
-    }
-  }
-  // This depth's bindings stack above `base` on the frame.
-  std::vector<VarId>& bound = frame.bound;
-  const size_t base = bound.size();
-  auto try_row = [&](uint32_t row) {
-    const std::span<const ElemId> targs = target.Args(atom.pred, row);
-    bool ok = true;
-    for (size_t pos = 0; pos < atom.args.size(); ++pos) {
-      VarId v = atom.args[pos];
-      if (map[v] == kNoElem) {
-        map[v] = targs[pos];
-        bound.push_back(v);
-      } else if (map[v] != targs[pos]) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      if (step_rows) ++(*step_rows)[depth];
-      Join(plan, order, depth + 1, frame, target, probes, step_rows, out);
-    }
-    for (size_t i = base; i < bound.size(); ++i) map[bound[i]] = kNoElem;
-    bound.resize(base);
-  };
-  if (anchor < 0) {
-    const uint32_t n = target.NumRows(atom.pred);
-    *probes += n;
-    for (uint32_t row = 0; row < n; ++row) try_row(row);
-  } else {
-    *probes += candidates.size();
-    for (uint32_t row : candidates) try_row(row);
-  }
-}
-
-void CompiledProgram::RunItem(const WorkItem& item, const Instance& target,
-                              JoinFrame& frame, size_t* probes,
-                              DerivedBuffer* out) const {
-  if (item.kernel != nullptr) {
-    KernelCounters c{0, item.step_rows, item.seedings};
-    if (item.rec < 0) {
-      RunKernelFull(*item.kernel, target, c, out);
-    } else {
-      RunKernelDelta(*item.kernel, target, *item.delta_rows, c, out);
-    }
-    *probes += c.probes;
-    return;
-  }
-  const RulePlan& plan = plans_[item.plan];
-  const std::vector<uint32_t>& order = *item.order;
-  if (item.rec < 0) {
-    if (item.seedings) ++(*item.seedings);
-    Join(plan, order, 0, frame, target, probes, item.step_rows, out);
-    return;
-  }
-  const QAtom& delta_atom = plan.body[plan.recursive_atoms[item.rec]];
-  std::vector<ElemId>& map = frame.map;
-  std::vector<VarId>& bound = frame.bound;
-  for (uint32_t row : *item.delta_rows) {
-    const std::span<const ElemId> fargs = target.Args(item.delta_pred, row);
-    bool ok = true;
-    for (size_t pos = 0; pos < delta_atom.args.size(); ++pos) {
-      VarId v = delta_atom.args[pos];
-      if (map[v] == kNoElem) {
-        map[v] = fargs[pos];
-        bound.push_back(v);
-      } else if (map[v] != fargs[pos]) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      if (item.seedings) ++(*item.seedings);
-      Join(plan, order, 0, frame, target, probes, item.step_rows, out);
-    }
-    for (VarId v : bound) map[v] = kNoElem;
-    bound.clear();
-  }
-}
-
 Instance CompiledProgram::Eval(const Instance& input, EvalStats* stats,
                                const EvalOptions& options) const {
   return Eval(Instance(input), stats, options);
 }
 
-/// Eval's buffers that outlive a round and a call: per-worker binding
+/// Eval's buffers that outlive a round and a call: per-worker kernel
 /// frames, the round's work items with their derived-head buffers and
 /// probe counts, and the delta partition. Each thread keeps one (Eval),
 /// so a loop of µs-scale evaluations reuses their capacity instead of
 /// reallocating it per round and per call.
 struct CompiledProgram::EvalScratch {
   bool in_use = false;  // a nested Eval on this thread takes a fresh one
-  std::vector<JoinFrame> frames;       // per worker
-  std::vector<WorkItem> items;         // the current round
-  std::vector<DerivedBuffer> derived;  // per item
-  std::vector<size_t> probes;          // per item
+  std::vector<std::vector<ElemId>> frames;  // per worker, grown on demand
+  std::vector<WorkItem> items;              // the current round
+  std::vector<DerivedBuffer> derived;       // per item
+  std::vector<size_t> probes;               // per item
   // The previous round's new facts as row lists, one per predicate of the
   // current stratum, in the order of its `preds`.
   std::vector<std::vector<uint32_t>> delta;
@@ -392,8 +279,8 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
   const auto t_start =
       timed ? std::chrono::steady_clock::now()
             : std::chrono::steady_clock::time_point{};
-  // The size gates below read the input as passed; `result` takes it over
-  // and grows from there.
+  // The planner's size gate reads the input as passed; `result` takes it
+  // over and grows from there.
   const size_t input_facts = input.num_facts();
   Instance result = std::move(input);
   const int nthreads = ResolveEvalThreads(options.num_threads);
@@ -406,11 +293,6 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
   if (scratch.frames.size() < static_cast<size_t>(nthreads)) {
     scratch.frames.resize(nthreads);
   }
-  for (int w = 0; w < nthreads; ++w) {
-    scratch.frames[w].map.assign(max_vars_, kNoElem);
-    scratch.frames[w].bound.clear();
-    scratch.frames[w].bound.reserve(max_vars_);
-  }
   std::vector<WorkItem>& items = scratch.items;
   std::vector<std::vector<uint32_t>>& delta = scratch.delta;
 
@@ -422,26 +304,25 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
   // plan reads exact counts.
   const bool live_stats =
       options.stats_planner && input_facts >= options.stats_min_facts;
-  // Kernel lowering is a per-(rule, seat) fixed cost; below the size
-  // gate the generic interpreter is strictly cheaper (kernel_min_facts
-  // doc in eval_plan.h). The second clause scales the gate with program
-  // size: lowering runs once per rule-seat, so a many-hundred-rule
-  // program over few facts (the Thm 9 separator's machine simulations)
-  // pays hundreds of lowerings that no seat's row volume can amortize —
-  // kernels engage only when the input carries at least a few facts per
-  // rule. The gate reads the *input* size, not the running fixpoint, so
-  // a whole Eval is one plane or the other — switching planes mid-run
-  // would be correct (they are bit-identical) but would waste the
-  // already-built kernels.
-  const bool use_kernels =
-      options.compiled_kernels && input_facts >= options.kernel_min_facts &&
-      (options.kernel_min_facts == 0 || input_facts >= plans_.size() * 4);
-  // Per-seat tables exist for live planning, kernels and plan_stats; the
-  // stored orders need none.
-  const bool use_seats = live_stats || use_kernels || options.plan_stats;
+  // Per-seat tables exist for live planning and plan_stats; the stored
+  // orders and their kernels need none.
+  const bool use_seats = live_stats || options.plan_stats;
   Stats live;
   if (live_stats) live = Stats::Collect(result);
 
+  // Runs work item `i` on `worker`'s frame into the item's own buffer.
+  auto run_item = [&](size_t i, int worker) {
+    const WorkItem& item = items[i];
+    KernelCounters c{0, item.step_rows, item.seedings};
+    if (item.delta_rows == nullptr) {
+      RunKernelFull(*item.kernel, result, scratch.frames[worker], c,
+                    &scratch.derived[i]);
+    } else {
+      RunKernelDelta(*item.kernel, result, *item.delta_rows,
+                     scratch.frames[worker], c, &scratch.derived[i]);
+    }
+    scratch.probes[i] = c.probes;
+  };
   // Runs the round's work `items`, merges their derivations into `result`
   // in item order — this makes the fact insertion order independent of
   // the thread count — and refills `delta` with the rows they added.
@@ -450,20 +331,14 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
     const size_t n = items.size();
     if (scratch.derived.size() < n) scratch.derived.resize(n);
     for (size_t i = 0; i < n; ++i) scratch.derived[i].clear();
-    scratch.probes.assign(n, 0);
+    scratch.probes.resize(n);
     int workers = std::min<int>(nthreads, static_cast<int>(n));
     if (workers > 1) {
       // Freeze the indexes so the fan-out only ever reads `result`.
       result.PrepareIndexes();
-      ThreadPool::Shared().ParallelFor(n, workers, [&](size_t i, int worker) {
-        RunItem(items[i], result, scratch.frames[worker], &scratch.probes[i],
-                &scratch.derived[i]);
-      });
+      ThreadPool::Shared().ParallelFor(n, workers, run_item);
     } else {
-      for (size_t i = 0; i < n; ++i) {
-        RunItem(items[i], result, scratch.frames[0], &scratch.probes[i],
-                &scratch.derived[i]);
-      }
+      for (size_t i = 0; i < n; ++i) run_item(i, 0);
     }
     // The items have run, so the rows they read are free to refill.
     for (size_t p = 0; p < num_preds; ++p) delta[p].clear();
@@ -515,22 +390,20 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
 
     // The join orders this stratum runs with, when use_seats: per
     // (plan-in-stratum, seat), seat 0 = the initial full join, seat 1 + i
-    // = recursive atom i. Planned live into `planned`/`planned_est`, else
-    // pointing at the stored orders, which are not copied. `actual`
-    // accumulates measured per-step rows (plan_stats only) and resets on
-    // re-plan so it always matches the order it was measured under.
+    // = recursive atom i. Planned and lowered live into `planned`/
+    // `planned_est`/`lowered`, else pointing at the stored orders and
+    // kernels, which are not copied. `actual` accumulates measured
+    // per-step rows (plan_stats only) and resets on re-plan so it always
+    // matches the order it was measured under.
     struct SeatPlan {
       const std::vector<uint32_t>* order = nullptr;
       const std::vector<double>* est = nullptr;
+      const JoinKernel* kernel = nullptr;
       std::vector<uint32_t> planned;
       std::vector<double> planned_est;
+      JoinKernel lowered;
       std::vector<size_t> actual;
       size_t seedings = 0;
-      JoinKernel kernel;
-      // Lazy lowering: 0 = not yet tried for the current order, 1 =
-      // kernel valid, 2 = shape unsupported (interpreter). Reset to 0 on
-      // every re-plan, since the kernel bakes the order in.
-      uint8_t kernel_state = 0;
     };
     std::vector<std::vector<SeatPlan>> seats;
     auto plan_seats = [&](bool initial) {
@@ -543,15 +416,15 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
         for (size_t s = initial ? 0 : 1; s < sp.size(); ++s) {
           if (live_stats) {
             sp[s].planned = PlanOrder(plan, s, &live, &sp[s].planned_est);
+            sp[s].lowered = plan.Lower(s, sp[s].planned);
             sp[s].order = &sp[s].planned;
             sp[s].est = &sp[s].planned_est;
+            sp[s].kernel = &sp[s].lowered;
           } else {
             sp[s].order = &plan.orders[s];
             sp[s].est = &plan.est_rows[s];
+            sp[s].kernel = &plan.kernels[s];
           }
-          // The planned order invalidates any kernel lowered from the
-          // previous one; the seat re-lowers on its next run.
-          sp[s].kernel_state = 0;
           if (options.plan_stats) {
             sp[s].actual.assign(sp[s].order->size(), 0);
             sp[s].seedings = 0;
@@ -564,34 +437,18 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
       plan_seats(true);
     }
 
-    // The work item firing seat `s` of the stratum's plan `k`: its order
-    // and counters from the seat table when there is one, else the stored
-    // order. A seat's kernel is lowered on first use, so evals whose seats
-    // never run (converged strata, empty delta predicates, µs-scale
-    // instances) pay nothing. Called only from the sequential work-item
-    // assembly, never from workers.
+    // The work item firing seat `s` of the stratum's plan `k`: its kernel
+    // and counters from the seat table when there is one, else the
+    // stored kernel.
     auto seat_item = [&](size_t k, size_t s) {
       WorkItem w;
       w.plan = stratum.plans[k];
-      const RulePlan& plan = plans_[w.plan];
       if (!use_seats) {
-        w.order = &plan.orders[s];
+        w.kernel = &plans_[w.plan].kernels[s];
         return w;
       }
       SeatPlan& sp = seats[k][s];
-      w.order = sp.order;
-      if (sp.kernel_state == 0) {
-        if (use_kernels &&
-            KernelSupported(plan.head, plan.body, plan.num_vars)) {
-          const int seat_atom = s == 0 ? -1 : plan.recursive_atoms[s - 1];
-          sp.kernel = BuildKernel(plan.head, plan.body, plan.num_vars,
-                                  seat_atom, *sp.order);
-          sp.kernel_state = 1;
-        } else {
-          sp.kernel_state = 2;
-        }
-      }
-      if (sp.kernel_state == 1) w.kernel = &sp.kernel;
+      w.kernel = sp.kernel;
       if (options.plan_stats) {
         w.step_rows = &sp.actual;
         w.seedings = &sp.seedings;
@@ -645,8 +502,8 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
         }
       }
       // One item per recursive seat whose predicate gained rows, seeded
-      // from exactly those rows — the coordinates kernels and the
-      // interpreter consume directly.
+      // from exactly those rows — the coordinates kernels consume
+      // directly.
       items.clear();
       for (size_t k = 0; k < stratum.plans.size(); ++k) {
         const RulePlan& plan = plans_[stratum.plans[k]];
@@ -659,8 +516,6 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
           const std::vector<uint32_t>& rows = delta[plan.rec_slots[r]];
           if (rows.empty()) continue;
           WorkItem w = seat_item(k, 1 + r);
-          w.rec = r;
-          w.delta_pred = plan.body[plan.recursive_atoms[r]].pred;
           w.delta_rows = &rows;
           items.push_back(w);
         }
@@ -676,8 +531,7 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
         for (size_t s = 0; s < seats[k].size(); ++s) {
           JoinSeatStats j;
           j.rule = pi;
-          j.delta_atom =
-              s == 0 ? -1 : plan.recursive_atoms[s - 1];
+          j.delta_atom = plan.seat_atom(s);
           j.order = *seats[k][s].order;
           j.est_rows = *seats[k][s].est;
           j.actual_rows = std::move(seats[k][s].actual);
@@ -752,8 +606,8 @@ bool CompiledProgram::MatchAtoms(
     if (it != changed.end()) pc = &it->second;
   }
   // Current-state candidates through the tightest index available for the
-  // bound positions (as in Join); an old-state read additionally skips
-  // facts inserted since the old snapshot and replays the deleted ones.
+  // bound positions; an old-state read additionally skips facts inserted
+  // since the old snapshot and replays the deleted ones.
   std::span<const uint32_t> candidates;
   int anchor = -1;
   for (int pos = 0; pos < static_cast<int>(atom.args.size()); ++pos) {

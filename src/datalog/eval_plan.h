@@ -17,7 +17,9 @@
 
 namespace mondet {
 
-/// Evaluation knobs for CompiledProgram::Eval / FpEval.
+/// Evaluation knobs for CompiledProgram::Eval / FpEval. Every join runs
+/// through the compiled kernel (datalog/kernel.h) lowered from the order
+/// these options select.
 struct EvalOptions {
   /// Worker threads for the per-iteration rule fan-out. 0 = use the
   /// MONDET_THREADS environment variable, falling back to
@@ -29,47 +31,28 @@ struct EvalOptions {
   /// estimated selectivity from per-predicate statistics counted live
   /// from the evolving result, recounted and re-planned at each stratum
   /// entry and whenever a stratum relation doubles (docs/EVALUATION.md
-  /// documents the cost model). When false — or when the input is below
-  /// stats_min_facts — Eval runs the stored orders verbatim: EDB-first
-  /// greedy from compilation, or the orders BindStats planned from its
-  /// snapshot. Callers that evaluate many instances of one fact shape bind
-  /// a snapshot once and turn this off, so no Eval plans at all.
+  /// documents the cost model); each live-planned order is lowered to a
+  /// kernel as it is planned. When false — or when the input is below
+  /// stats_min_facts — Eval runs the stored orders and their kernels
+  /// verbatim: EDB-first greedy from compilation, or the orders BindStats
+  /// planned from its snapshot. Callers that evaluate many instances of
+  /// one fact shape bind a snapshot once and turn this off, so no Eval
+  /// plans or lowers at all.
   bool stats_planner = true;
   /// The planner's own cost gate: below this many input facts, live
   /// planning cannot pay for itself, so Eval runs the stored orders. The
-  /// per-run cost — a Collect plus a SelectivityAtomOrder pass per rule
-  /// seat at every planning point — would dominate a µs-scale eval
-  /// outright (the checker's canonical-test loops issue thousands of
-  /// those), so the gate sits at 64 facts. The gate reads the input's
-  /// size as passed, before Eval takes it over. Set to 0 to force live
-  /// planning on any input (the differential and convergence tests do).
+  /// per-run cost — a Collect plus a SelectivityAtomOrder pass and a
+  /// kernel lowering per rule seat at every planning point — would
+  /// dominate a µs-scale eval outright (the checker's canonical-test
+  /// loops issue thousands of those), so the gate sits at 64 facts. The
+  /// gate reads the input's size as passed, before Eval takes it over.
+  /// Set to 0 to force live planning on any input (the differential and
+  /// convergence tests do).
   size_t stats_min_facts = 64;
   /// Record the join order each (rule, delta seat) actually ran with,
   /// plus estimated vs. measured intermediate sizes, into
   /// StratumStats::seats. Small per-match cost; off by default.
   bool plan_stats = false;
-  /// Compiled join kernels (datalog/kernel.h): lower each planned
-  /// (rule, delta-seat, order) into a shape-specialized loop nest over the
-  /// columnar store — fixed binding frame, plan-time probe/check/bind
-  /// classification, flat derived-head buffers — instead of interpreting
-  /// the atom order through the generic backtracking join. Bit-identical
-  /// to the interpreter in result, insertion order and derivation counts
-  /// (pinned by the kernel-differential oracle); kept as an escape hatch
-  /// for the differential arms and as the interpreter's reference.
-  bool compiled_kernels = true;
-  /// Input-size gate for compiled_kernels, the stats_min_facts idiom
-  /// again: lowering a (rule, seat, order) into a kernel costs a few µs
-  /// per rule-seat per Eval, which a µs-scale evaluation of a tiny
-  /// instance can never amortize — and the canonical-test inner loops
-  /// (separators, containment search) run thousands of such evals.
-  /// Below the gate the generic interpreter runs instead; above it the
-  /// kernel pays for itself within the first delta round. A nonzero gate
-  /// additionally requires at least 4 input facts per program rule
-  /// (lowering cost is per rule-seat, so a huge program over few facts
-  /// can never amortize it no matter the absolute input size). Set to 0
-  /// to force kernels on any input (the kernel-differential oracle and
-  /// bench_kernels do, so the gated path stays fully cross-checked).
-  size_t kernel_min_facts = 64;
 };
 
 /// The join order one (rule, delta-seat) pair ran with, with the planner's
@@ -92,7 +75,9 @@ struct JoinSeatStats {
 struct StratumStats {
   size_t iterations = 0;     // semi-naive rounds, incl. the initial one
   size_t facts_derived = 0;  // new facts this stratum added
-  size_t join_probes = 0;    // candidate facts scanned by index joins
+  // Candidate rows the joins scanned: bucket sizes, every row for an
+  // unbound scan, and one per fully bound (membership) step.
+  size_t join_probes = 0;
   size_t replans = 0;        // mid-stratum join-order recomputations
   // Rows the live statistics recounted this stratum (Stats::Refresh at
   // stratum entry and at each re-plan); the initial Collect is not
@@ -169,6 +154,9 @@ struct MaintainResult {
 /// orders come from the shared GreedyAtomOrder heuristic (EDB atoms
 /// first); BindStats re-plans them under the selectivity cost model, and
 /// Eval by default plans from live statistics anyway (EvalOptions).
+/// Wherever an order is fixed — here, in BindStats, in Eval's live
+/// planner — it is lowered to a join kernel (datalog/kernel.h) on the
+/// spot and stored next to it, so Eval only ever runs kernels.
 /// Construct once and Eval many times; the per-rule plans and strata are
 /// reused across calls — and the same object serves the analyzer's plan
 /// lints (AnalysisOptions::compiled) and evaluation, so lint and run judge
@@ -178,11 +166,12 @@ class CompiledProgram {
   explicit CompiledProgram(const Program& program);
 
   /// Re-plans the stored compile-time join orders under the selectivity
-  /// cost model of `stats` and remembers the snapshot: DescribePlans then
-  /// reports estimated intermediate sizes (so plan lints judge the plans
-  /// against real numbers), and Eval with stats_planner=false runs these
-  /// stats-driven orders verbatim, planning nothing per call. A later
-  /// BindStats re-plans every seat from the new snapshot. Not safe to call
+  /// cost model of `stats`, re-lowers their kernels, and remembers the
+  /// snapshot: DescribePlans then reports estimated intermediate sizes (so
+  /// plan lints judge the plans against real numbers), and Eval with
+  /// stats_planner=false runs these stats-driven orders verbatim, planning
+  /// and lowering nothing per call. A later BindStats re-plans and
+  /// re-lowers every seat from the new snapshot. Not safe to call
   /// while another thread is inside Eval on the same object.
   void BindStats(Stats stats);
 
@@ -275,11 +264,22 @@ class CompiledProgram {
     uint32_t head_slot = 0;
     std::vector<uint32_t> rec_slots;
     // seats[0]: the initial full join; seats[1 + i]: recursive_atoms[i]
-    // as the delta seat. orders/est_rows align with seats; est_rows
-    // entries are empty unless stats are bound.
+    // as the delta seat. orders/est_rows/kernels align with seats;
+    // est_rows entries are empty unless stats are bound, and kernels[s]
+    // is always lowered from orders[s].
     std::vector<SeatShape> seats;
     std::vector<std::vector<uint32_t>> orders;
     std::vector<std::vector<double>> est_rows;
+    std::vector<JoinKernel> kernels;
+
+    /// The body atom seat `s` pre-binds: -1 for the full join.
+    int seat_atom(size_t s) const {
+      return s == 0 ? -1 : recursive_atoms[s - 1];
+    }
+    /// Lowers `order` as the join order of seat `s`.
+    JoinKernel Lower(size_t s, const std::vector<uint32_t>& order) const {
+      return BuildKernel(head, body, num_vars, seat_atom(s), order);
+    }
   };
   struct Stratum {
     std::vector<uint32_t> plans;       // indices into plans_, program order
@@ -300,31 +300,17 @@ class CompiledProgram {
     std::unordered_set<Fact, FactHash, FactEq> ins_set;
   };
   using ChangeMap = std::unordered_map<PredId, PredChange>;
-  /// One unit of the per-iteration fan-out: fire plan `plan` either as a
-  /// full join (rec < 0) or seeding recursive atom `rec` from each row of
-  /// `*delta_rows` (rows of `delta_pred`), visiting the remaining atoms
-  /// in `*order` — through `*kernel` when compiled, the interpreter
-  /// otherwise.
+  /// One unit of the per-iteration fan-out: run `*kernel`, a kernel of
+  /// plan `plan`, either as a full join (delta_rows == nullptr) or seeded
+  /// from each row of `*delta_rows`, rows of the kernel's seat predicate.
   struct WorkItem {
     uint32_t plan = 0;
-    int rec = -1;
-    PredId delta_pred = kNoPred;
+    const JoinKernel* kernel = nullptr;
     const std::vector<uint32_t>* delta_rows = nullptr;
-    const std::vector<uint32_t>* order = nullptr;
-    const JoinKernel* kernel = nullptr;        // null = generic interpreter
     std::vector<size_t>* step_rows = nullptr;  // per-depth match counters
     size_t* seedings = nullptr;                // successful join seedings
   };
 
-  /// One worker's binding state for the interpreter: `map` sends each
-  /// variable to its element (kNoElem when unbound) and `bound` stacks the
-  /// variables bound by the atoms being matched, deepest last, so each
-  /// join depth unbinds exactly its own. Both are sized once per Eval
-  /// (max_vars_) and are all-unbound between work items.
-  struct JoinFrame {
-    std::vector<ElemId> map;
-    std::vector<VarId> bound;
-  };
   /// Eval's buffers that outlive a round and a call (eval_plan.cc).
   struct EvalScratch;
 
@@ -335,13 +321,6 @@ class CompiledProgram {
   std::vector<uint32_t> PlanOrder(const RulePlan& plan, size_t seat,
                                   const Stats* stats,
                                   std::vector<double>* est_rows) const;
-
-  void RunItem(const WorkItem& item, const Instance& target, JoinFrame& frame,
-               size_t* probes, DerivedBuffer* out) const;
-  void Join(const RulePlan& plan, const std::vector<uint32_t>& order,
-            size_t depth, JoinFrame& frame, const Instance& target,
-            size_t* probes, std::vector<size_t>* step_rows,
-            DerivedBuffer* out) const;
 
   /// The maintenance engine's join: matches body atoms k.. of `plan` in
   /// body order (skipping `seat`, whose variables `map` pre-binds) and
@@ -379,7 +358,6 @@ class CompiledProgram {
   std::vector<RulePlan> plans_;
   std::vector<Stratum> strata_;
   std::unordered_map<PredId, size_t> stratum_of_;  // IDB pred -> stratum
-  size_t max_vars_ = 0;  // the most variables any rule has
   std::optional<Stats> bound_stats_;
 };
 

@@ -138,12 +138,10 @@ class EvalOracle : public Oracle {
       return Fail(c, "iterations differs across thread counts");
     }
 
-    // Move vs copy, with both size gates set to exactly the input size:
-    // they open only when read before Eval takes the input over (a
-    // moved-from instance reads 0 facts). plan_stats makes the stats gate
-    // visible — every executed seat carries estimates iff it planned —
-    // and a kernels-forced run pins the kernel gate through join_probes,
-    // the one counter the two planes may disagree on.
+    // Move vs copy, with the planner's size gate set to exactly the input
+    // size: it opens only when read before Eval takes the input over (a
+    // moved-from instance reads 0 facts). plan_stats makes the gate
+    // visible — every executed seat carries estimates iff it planned.
     CompiledProgram compiled(program);
     const size_t n = inst.num_facts();
     for (int threads : {1, 4}) {
@@ -152,7 +150,6 @@ class EvalOracle : public Oracle {
       o.num_threads = threads;
       o.plan_stats = true;
       o.stats_min_facts = n;
-      o.kernel_min_facts = n;
       EvalStats s_copy, s_move;
       Instance by_copy = compiled.Eval(inst, &s_copy, o);
       Instance by_move = compiled.Eval(Instance(inst), &s_move, o);
@@ -186,16 +183,6 @@ class EvalOracle : public Oracle {
             return Fail(c, tag + ": stats gate closed on a " +
                                std::to_string(n) + "-fact input");
           }
-        }
-      }
-      if (n > 0 && n >= program.rules().size() * 4) {
-        EvalOptions forced = o;
-        forced.kernel_min_facts = 0;
-        EvalStats s_forced;
-        compiled.Eval(Instance(inst), &s_forced, forced);
-        if (s_forced.join_probes != s_move.join_probes) {
-          return Fail(c, tag + ": kernel gate closed on a " +
-                             std::to_string(n) + "-fact input");
         }
       }
     }
@@ -346,106 +333,6 @@ class PlanOracle : public Oracle {
     }
     if (!program.rules().empty() && !saw_seat) {
       return Fail(c, "plan_stats produced no seat observations");
-    }
-    return Pass();
-  }
-};
-
-// --- kernel-differential ----------------------------------------------------
-// The compiled-kernel data plane against its own escape hatch: the same
-// program and instance evaluated with compiled kernels on and off, at 1
-// and 4 threads, plus the static planner (compile-time EDB-first orders,
-// which exercises kernel shapes the stats planner never picks). Kernels
-// must be invisible in every observable — fact *sequences* byte-identical
-// across all arms, derivation counters equal — while the naive reference
-// anchors the fact *set*. join_probes is deliberately NOT compared: a
-// fully-bound membership step costs one probe in a kernel but a
-// bucket-size scan in the interpreter, so the counter legitimately
-// differs between the two planes.
-
-class KernelOracle : public Oracle {
- public:
-  std::string name() const override { return "kernel-differential"; }
-  GenProfile Profile() const override { return PlanProfile(); }
-
-  FuzzCase Generate(unsigned seed) const override {
-    FuzzCase c;
-    c.oracle = name();
-    c.seed = seed;
-    c.profile = PlanProfile();
-    c.program = RandomProgram(c.profile, 21000 + seed);
-    c.instance =
-        RandomInstance(c.profile.vocab, SeededPreds(c.profile, seed),
-                       c.profile.elems, c.profile.facts, 23000 + seed);
-    return c;
-  }
-
-  OracleOutcome Check(const FuzzCase& c) const override {
-    const Program& program = *c.program;
-    const Instance& inst = *c.instance;
-    CompiledProgram compiled(program);
-    Instance naive = NaiveFpEval(program, inst);
-
-    // Kernels on, stats planner forced on (stats_min_facts = 0 so small
-    // fuzz instances still take the planned path the kernels compile,
-    // kernel_min_facts = 0 so the size gate never routes them to the
-    // interpreter — every arm below exercises the plane it names).
-    EvalOptions on1;
-    on1.num_threads = 1;
-    on1.stats_min_facts = 0;
-    on1.kernel_min_facts = 0;
-    EvalOptions on4 = on1;
-    on4.num_threads = 4;
-    EvalStats s_on1, s_on4;
-    Instance r_on1 = compiled.Eval(inst, &s_on1, on1);
-    Instance r_on4 = compiled.Eval(inst, &s_on4, on4);
-    if (auto d = DiffSets(naive, r_on1, "naive vs kernels-on 1T")) {
-      return Fail(c, *d);
-    }
-    if (auto d = DiffSequences(r_on1, r_on4, "kernels-on 1T vs 4T")) {
-      return Fail(c, *d);
-    }
-
-    // The escape hatch: same plans, interpreted generically.
-    EvalOptions off1 = on1, off4 = on4;
-    off1.compiled_kernels = false;
-    off4.compiled_kernels = false;
-    EvalStats s_off1;
-    Instance r_off1 = compiled.Eval(inst, &s_off1, off1);
-    Instance r_off4 = compiled.Eval(inst, nullptr, off4);
-    if (auto d = DiffSequences(r_on1, r_off1, "kernels on vs off 1T")) {
-      return Fail(c, *d);
-    }
-    if (auto d = DiffSequences(r_on1, r_off4, "kernels-on 1T vs off 4T")) {
-      return Fail(c, *d);
-    }
-    if (s_on1.facts_derived != s_off1.facts_derived) {
-      return Fail(c, "facts_derived differs with kernels off");
-    }
-    if (s_on1.iterations != s_off1.iterations) {
-      return Fail(c, "iterations differs with kernels off");
-    }
-    if (s_on1.facts_derived != s_on4.facts_derived) {
-      return Fail(c, "facts_derived differs across thread counts");
-    }
-
-    // Static planner: different join orders, hence different kernels;
-    // the set (not the sequence — orders differ) must still agree, with
-    // kernels on and off.
-    EvalOptions st_on;
-    st_on.num_threads = 1;
-    st_on.stats_planner = false;
-    st_on.kernel_min_facts = 0;
-    EvalOptions st_off = st_on;
-    st_off.compiled_kernels = false;
-    Instance r_st_on = compiled.Eval(inst, nullptr, st_on);
-    Instance r_st_off = compiled.Eval(inst, nullptr, st_off);
-    if (auto d = DiffSets(naive, r_st_on, "naive vs static+kernels")) {
-      return Fail(c, *d);
-    }
-    if (auto d = DiffSequences(r_st_on, r_st_off,
-                               "static planner, kernels on vs off")) {
-      return Fail(c, *d);
     }
     return Pass();
   }
@@ -993,7 +880,6 @@ const std::vector<const Oracle*>& AllOracles() {
     auto* v = new std::vector<const Oracle*>();
     v->push_back(new EvalOracle());
     v->push_back(new PlanOracle());
-    v->push_back(new KernelOracle());
     v->push_back(new MaintenanceOracle());
     v->push_back(new DataflowOracle());
     v->push_back(new ParallelOracle());

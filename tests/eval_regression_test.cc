@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
+#include "base/stats.h"
 #include "datalog/eval.h"
 #include "datalog/eval_plan.h"
+#include "datalog/parser.h"
 #include "reductions/thm6.h"
 #include "reductions/thm7.h"
+#include "testing/reference.h"
 #include "tests/test_util.h"
 #include "views/inverse_rules.h"
 #include "views/view_set.h"
@@ -132,6 +137,149 @@ TEST(EvalRegression, StatsIndependentOfThreads) {
     EXPECT_EQ(f1.FactAt(static_cast<uint32_t>(i)),
               f4.FactAt(static_cast<uint32_t>(i)))
         << "fact " << i;
+  }
+}
+
+// ---------- Kernels lower every rule shape -------------------------------
+
+/// Same fact *sequence*: byte-identical insertion order.
+void ExpectSameSequence(const Instance& a, const Instance& b,
+                        const std::string& tag) {
+  ASSERT_EQ(a.num_facts(), b.num_facts()) << tag;
+  for (uint32_t i = 0; i < a.num_facts(); ++i) {
+    ASSERT_EQ(a.FactAt(i), b.FactAt(i)) << tag << ": fact " << i;
+  }
+}
+
+/// Same fact *set*.
+void ExpectSameSet(const Instance& want, const Instance& got,
+                   const std::string& tag) {
+  ASSERT_EQ(want.num_facts(), got.num_facts()) << tag;
+  for (const Fact& f : want.AllFacts()) {
+    EXPECT_TRUE(got.HasFact(f)) << tag << ": missing " << FactToString(want, f);
+  }
+}
+
+TEST(EvalRegression, WideAtomsAndManyVariablesRunOnKernels) {
+  // An arity-20 relation (recursive rotation plus a fully bound arity-20
+  // membership step) and a 70-variable recursive chain rule: kernels
+  // have no arity or variable-count limit.
+  constexpr int kArity = 20;
+  constexpr int kChain = 69;  // E atoms in the long rule: 70 variables
+  VocabularyPtr vocab = MakeVocabulary();
+  PredId e = vocab->AddPredicate("E", 2);
+  PredId w = vocab->AddPredicate("W", kArity);
+  auto vars = [](int from, int to) {  // "xfrom,...,xto"
+    std::string out;
+    for (int i = from; i <= to; ++i) {
+      out += (i > from ? ",x" : "x") + std::to_string(i);
+    }
+    return out;
+  };
+  std::string text = "W(" + vars(2, kArity) + ",x1) :- W(" +
+                     vars(1, kArity) + ").\n";
+  text += "V(" + vars(1, kArity) + ") :- W(" + vars(1, kArity) + "), W(" +
+          vars(2, kArity) + ",x1).\n";
+  text += "L(x0,x1) :- E(x0,x1).\n";
+  text += "L(x0,x" + std::to_string(kChain) + ") :- L(x0,x1)";
+  for (int i = 1; i < kChain; ++i) {
+    text += ", E(x" + std::to_string(i) + ",x" + std::to_string(i + 1) + ")";
+  }
+  text += ".\n";
+  ParseResult pr = ParseProgram(text, vocab);
+  ASSERT_TRUE(pr.ok()) << pr.error;
+  const Program& program = *pr.program;
+  size_t most_vars = 0;
+  for (const Rule& r : program.rules()) {
+    most_vars = std::max(most_vars, r.num_vars());
+  }
+  ASSERT_GT(most_vars, 64u);
+
+  // E: a 5-cycle, so every chain walk is unique. W: two seed tuples.
+  Instance inst = MakeCycle(vocab, e, 5);
+  for (int seed = 0; seed < 2; ++seed) {
+    std::vector<ElemId> args;
+    for (int i = 0; i < kArity; ++i) args.push_back(inst.AddElement());
+    inst.AddFact(w, args);
+  }
+  const Instance naive = NaiveFpEval(program, inst);
+  ASSERT_EQ(naive.NumRows(w), 2u * kArity);
+  ASSERT_EQ(naive.NumRows(*vocab->FindPredicate("V")), 2u * kArity);
+  ASSERT_EQ(naive.NumRows(*vocab->FindPredicate("L")), 25u);
+
+  CompiledProgram compiled(program);
+  for (size_t min_facts : {size_t{64}, size_t{0}}) {  // stored, live orders
+    const std::string tag = "stats_min_facts=" + std::to_string(min_facts);
+    EvalOptions o1;
+    o1.num_threads = 1;
+    o1.stats_min_facts = min_facts;
+    EvalOptions o4 = o1;
+    o4.num_threads = 4;
+    const Instance r1 = compiled.Eval(inst, nullptr, o1);
+    const Instance r4 = compiled.Eval(inst, nullptr, o4);
+    ExpectSameSet(naive, r1, tag + " naive vs 1T");
+    ExpectSameSequence(r1, r4, tag + " 1T vs 4T");
+  }
+}
+
+TEST(EvalRegression, RebindingRelowersKernels) {
+  // H's join order follows the bound snapshot: R first when S is the
+  // large relation (snapshot A, also the compile-time EDB-first order),
+  // S first when R is (snapshot B). The two orders emit H in different
+  // sequences, so a kernel left over from compilation or from A shows.
+  VocabularyPtr vocab = MakeVocabulary();
+  PredId r = vocab->AddPredicate("R", 2);
+  PredId s = vocab->AddPredicate("S", 2);
+  PredId h = vocab->AddPredicate("H", 2);
+  ParseResult pr = ParseProgram("H(x,z) :- R(x,y), S(y,z).\n", vocab);
+  ASSERT_TRUE(pr.ok()) << pr.error;
+  const Program& program = *pr.program;
+
+  auto skewed = [&](PredId big, PredId small) {
+    Instance inst(vocab);
+    std::vector<ElemId> e;
+    for (int i = 0; i < 41; ++i) e.push_back(inst.AddElement());
+    for (int i = 0; i < 40; ++i) inst.AddFact(big, {e[i], e[i + 1]});
+    inst.AddFact(small, {e[0], e[1]});
+    return Stats::Collect(inst);
+  };
+  const Stats snapshot_a = skewed(s, r);
+  const Stats snapshot_b = skewed(r, s);
+
+  CompiledProgram rebound(program);
+  rebound.BindStats(snapshot_a);
+  rebound.BindStats(snapshot_b);
+  CompiledProgram fresh_b(program);
+  fresh_b.BindStats(snapshot_b);
+  CompiledProgram only_a(program);
+  only_a.BindStats(snapshot_a);
+  const std::vector<uint32_t> order_b = fresh_b.DescribePlans()[0].order;
+  ASSERT_EQ(order_b, (std::vector<uint32_t>{1, 0}));  // S, then R
+  ASSERT_EQ(only_a.DescribePlans()[0].order, (std::vector<uint32_t>{0, 1}));
+  ASSERT_EQ(rebound.DescribePlans()[0].order, order_b);
+
+  // Two R rows and two S rows meeting at one element: four H facts,
+  // emitted S-major under B's order.
+  Instance inst(vocab);
+  std::vector<ElemId> e;
+  for (int i = 0; i < 5; ++i) e.push_back(inst.AddElement());
+  inst.AddFact(r, {e[0], e[2]});
+  inst.AddFact(r, {e[1], e[2]});
+  inst.AddFact(s, {e[2], e[3]});
+  inst.AddFact(s, {e[2], e[4]});
+  Instance want = inst;
+  for (ElemId z : {e[3], e[4]}) {
+    for (ElemId x : {e[0], e[1]}) want.AddFact(h, {x, z});
+  }
+  for (int threads : {1, 4}) {
+    const std::string tag = std::to_string(threads) + "T";
+    EvalOptions o;
+    o.num_threads = threads;
+    o.stats_planner = false;
+    ExpectSameSequence(want, fresh_b.Eval(inst, nullptr, o),
+                       tag + " bound to B");
+    ExpectSameSequence(want, rebound.Eval(inst, nullptr, o),
+                       tag + " re-bound from A to B");
   }
 }
 
