@@ -52,41 +52,10 @@ void BM_Fig4_RowFamilyEval(benchmark::State& state) {
   state.counters["eval_iters"] = static_cast<double>(stats.iterations);
   state.counters["facts_derived"] = static_cast<double>(stats.facts_derived);
   state.counters["join_probes"] = static_cast<double>(stats.join_probes);
-  state.counters["stats_counted"] =
-      static_cast<double>(stats.stats_facts_counted);
   state.SetLabel(holds ? "rewriting holds on the row family (Figure 4)"
                        : "UNEXPECTED: rewriting failed");
 }
 BENCHMARK(BM_Fig4_RowFamilyEval)
-    ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-
-// Baseline for the statistics-driven planner: the same workload with the
-// planner disabled (compile-time EDB-first orders). The delta between
-// this and BM_Fig4_RowFamilyEval is the planner's win; join_probes makes
-// the work difference visible even when wall time is noisy.
-void BM_Fig4_RowFamilyEval_StaticPlan(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Thm7Gadget gadget = BuildThm7();
-  DatalogQuery rewriting = InverseRulesRewriting(gadget.query, gadget.views);
-  CompiledProgram compiled(rewriting.program);
-  Instance image = gadget.views.Image(gadget.DiamondChain(n));
-  EvalOptions options;
-  options.stats_planner = false;
-  EvalStats stats;
-  bool holds = false;
-  for (auto _ : state) {
-    stats = EvalStats{};
-    Instance fixpoint = compiled.Eval(image, &stats, options);
-    holds = fixpoint.NumRows(rewriting.goal) > 0;
-  }
-  state.counters["image_facts"] = static_cast<double>(image.num_facts());
-  state.counters["eval_iters"] = static_cast<double>(stats.iterations);
-  state.counters["facts_derived"] = static_cast<double>(stats.facts_derived);
-  state.counters["join_probes"] = static_cast<double>(stats.join_probes);
-  state.SetLabel(holds ? "rewriting holds on the row family (Figure 4)"
-                       : "UNEXPECTED: rewriting failed");
-}
-BENCHMARK(BM_Fig4_RowFamilyEval_StaticPlan)
     ->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_Fig4_UnravelledImageHasNoRows(benchmark::State& state) {

@@ -65,10 +65,8 @@ mkdir -p "$OUT"
 run table2 ./build/bench/bench_table2
 MONDET_THREADS=1 run table2_sweeps.threads1 ./build/bench/bench_table2 \
   --benchmark_filter='_Threads'
-# Figure 4 row-family evaluator sweep: live planning against the
-# compile-time orders (BM_Fig4_RowFamilyEval vs ..._StaticPlan);
-# stats_counted shows the rows the per-stratum / per-re-plan recounts
-# touch.
+# Figure 4 row-family evaluator sweep under the compile-time join
+# orders (BM_Fig4_RowFamilyEval); join_probes shows the rows they scan.
 both fig4 ./build/bench/bench_fig4_longrows \
   --benchmark_filter='BM_Fig4_RowFamilyEval'
 # Antichain-inclusion rung: lazy NtaIncluded vs the explicit

@@ -47,11 +47,13 @@ else
 fi
 
 # Differential oracles under ASan/UBSan, single- and multi-threaded.
-# plan_differential_test exercises the statistics-driven planner (live
-# re-planning, seat observation buffers) against the naive reference;
-# stats_test checks the counting pass (Collect / Refresh) against a
+# plan_differential_test runs the orders BindStats plans from each
+# input (with their seat observation buffers) against the naive
+# reference; stats_test checks the counting pass (Collect) against a
 # brute-force recount, and
-# plan_convergence_test pins the live planner's counters;
+# plan_convergence_test pins the counters of the compile-time and the
+# bound orders; eval_regression_test checks that every executed seat
+# runs the stored order, unbound and bound, at 1 and 4 threads;
 # maintenance_differential_test is the
 # maintained-vs-recomputed materialization oracle for incremental view
 # maintenance (counting + DRed over randomized insert/delete schedules
@@ -72,13 +74,14 @@ fi
 # base_test covers Instance::Clear, whose emptied index buckets those
 # buffers reuse.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMONDET_SANITIZE=ON
-cmake --build build-asan -j "$JOBS" --target eval_differential_test plan_differential_test stats_test plan_convergence_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test mondet_check_test separator_test base_test mondet-fuzz
+cmake --build build-asan -j "$JOBS" --target eval_differential_test eval_regression_test plan_differential_test stats_test plan_convergence_test maintenance_differential_test mondet_parallel_test dataflow_soundness_test antichain_test mondet_check_test separator_test base_test mondet-fuzz
 MONDET_THREADS=1 ./build-asan/tests/eval_differential_test
 MONDET_THREADS=4 ./build-asan/tests/eval_differential_test
 ./build-asan/tests/dataflow_soundness_test
 ./build-asan/tests/plan_differential_test
 ./build-asan/tests/stats_test
 ./build-asan/tests/plan_convergence_test
+./build-asan/tests/eval_regression_test
 MONDET_THREADS=1 ./build-asan/tests/maintenance_differential_test
 MONDET_THREADS=4 ./build-asan/tests/maintenance_differential_test
 MONDET_THREADS=4 ./build-asan/tests/mondet_parallel_test
@@ -114,8 +117,8 @@ fi
 
 # Race detection: the genuinely multi-threaded oracles — the parallel
 # counterexample search, the maintained-materialization differential,
-# the plan differential (whose 4T arm runs live-planned kernels over
-# shared column indexes), and the canonical-test loops (per-worker D'
+# the plan differential (whose 4T arm runs the bound orders' kernels
+# over shared column indexes), and the canonical-test loops (per-worker D'
 # buffers and Eval scratch that persist across blocks) — under
 # ThreadSanitizer at 4 workers (the `tsan` CMake preset builds the same
 # tree). TSan needs compiler runtime support (libtsan); minimal

@@ -15,15 +15,8 @@ Stats Stats::Collect(const Instance& inst) {
   return s;
 }
 
-void Stats::Refresh(const Instance& inst, const std::vector<PredId>& preds) {
-  std::vector<uint32_t> stamp;
-  uint32_t epoch = 0;
-  for (PredId p : preds) CountPred(inst, p, stamp, epoch);
-}
-
 void Stats::CountPred(const Instance& inst, PredId p,
                       std::vector<uint32_t>& stamp, uint32_t& epoch) {
-  if (p >= by_pred_.size()) by_pred_.resize(p + 1);
   PredicateStats& ps = by_pred_[p];
   const uint32_t rows = inst.NumRows(p);
   const size_t arity = static_cast<size_t>(inst.vocab()->arity(p));

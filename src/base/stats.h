@@ -22,20 +22,16 @@ struct PredicateStats {
 /// Statistics are a snapshot: evaluating a program on an instance that has
 /// since grown (or on a different instance entirely) is still *correct* —
 /// stale stats can only produce slower join orders, never wrong results.
-/// Collect and Refresh count in one O(facts · arity) pass and keep no
-/// per-value state, so a snapshot is just the counts; the evaluator
-/// recounts the relations that grew at each planning point instead of
-/// maintaining the counts fact by fact (see docs/EVALUATION.md).
+/// Collect counts in one O(facts · arity) pass and keeps no per-value
+/// state, so a snapshot is just the counts. A snapshot is only ever read
+/// by CompiledProgram::BindStats, which plans every stored join order
+/// from it once (see docs/EVALUATION.md).
 class Stats {
  public:
   Stats() = default;
 
   /// Exact counts for every predicate of `inst`'s vocabulary.
   static Stats Collect(const Instance& inst);
-
-  /// Recounts just the given predicates from `inst`, leaving the rest of
-  /// the snapshot untouched.
-  void Refresh(const Instance& inst, const std::vector<PredId>& preds);
 
   size_t cardinality(PredId p) const {
     return p < by_pred_.size() ? by_pred_[p].cardinality : 0;
@@ -61,7 +57,7 @@ class Stats {
                          const std::vector<bool>& bound_var) const;
 
  private:
-  /// Recounts `p`: its cardinality, then one pass per position that
+  /// Counts `p`: its cardinality, then one pass per position that
   /// counts first sightings in `stamp`, the caller's scratch array indexed
   /// by ElemId (grown to the largest id counted). Each column takes a
   /// fresh `epoch` value, so the array is never cleared between columns.

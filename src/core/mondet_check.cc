@@ -224,13 +224,12 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
     // buildable D': every test's D' assembles the same view expansions
     // over the same image facts, so one test's counts describe them all
     // well. The block plans its join orders once from the snapshot
-    // (BindStats) and every inner Eval runs them with the planner off —
-    // no per-test collection or planning, and stale stats stay correct by
-    // construction. Binding happens sequentially before the fan-out, so
-    // the orders are identical at every thread count. A block with no
-    // buildable probe keeps the default planner: live statistics from
-    // stats_min_facts facts up, the stored orders below (compile-time or
-    // an earlier block's); the fixpoint does not depend on either.
+    // (BindStats) and every inner Eval runs them — no per-test collection
+    // or planning, and stale stats stay correct by construction. Binding
+    // happens sequentially before the fan-out, so the orders are
+    // identical at every thread count. A block with no buildable probe
+    // keeps the stored orders (compile-time or an earlier block's); the
+    // fixpoint does not depend on them.
     EvalOptions eopts;
     eopts.num_threads = 1;
     {
@@ -241,7 +240,6 @@ MonDetResult CheckMonotonicDeterminacy(const DatalogQuery& query,
         if (BuildDPrimeInto(probe.dprime, image, probe.choice,
                             qi.inst.num_elements(), probe.map)) {
           compiled_query.BindStats(Stats::Collect(probe.dprime));
-          eopts.stats_planner = false;
           break;
         }
       }

@@ -116,14 +116,12 @@ bool ChaseSeparatorAccepts(const DatalogQuery& query, const ViewSet& views,
       }
       // Every chase witness assembles the same view expansions over J's
       // facts; statistics from the first one describe them all, so the
-      // orders are planned once from them and every Eval runs those with
-      // the planner off (stale stats are correct by construction).
+      // orders are planned once from them and every Eval runs those
+      // (stale stats are correct by construction).
       if (compiled_query.bound_stats() == nullptr) {
         compiled_query.BindStats(Stats::Collect(dprime));
       }
-      EvalOptions eopts;
-      eopts.stats_planner = false;
-      dprime = compiled_query.Eval(std::move(dprime), nullptr, eopts);
+      dprime = compiled_query.Eval(std::move(dprime));
       if (dprime.NumRows(query.goal) == 0) {
         all_hold = false;
         return false;

@@ -24,8 +24,6 @@ void EvalStats::Accumulate(const EvalStats& other) {
   overdeleted += other.overdeleted;
   rederived += other.rederived;
   join_probes += other.join_probes;
-  replans += other.replans;
-  stats_facts_counted += other.stats_facts_counted;
   wall_seconds += other.wall_seconds;
   strata.insert(strata.end(), other.strata.begin(), other.strata.end());
 }
@@ -37,9 +35,8 @@ std::string EvalStats::Summary() const {
     os << " retracted=" << facts_retracted << " overdeleted=" << overdeleted
        << " rederived=" << rederived;
   }
-  os << " probes=" << join_probes << " replans=" << replans;
-  os << " stats_counted=" << stats_facts_counted
-     << " strata=" << strata.size() << " wall_ms=" << wall_seconds * 1000.0;
+  os << " probes=" << join_probes << " strata=" << strata.size()
+     << " wall_ms=" << wall_seconds * 1000.0;
   return os.str();
 }
 
@@ -140,7 +137,7 @@ CompiledProgram::CompiledProgram(const Program& program) : program_(program) {
     }
     plan.head_slot = slot_of(stratum, rule.head.pred);
     // Fixed planning inputs per delta seat (seat 0 = the initial full
-    // join), so re-planning during a run rebuilds none of this.
+    // join), so a BindStats re-plan rebuilds none of this.
     plan.seats.resize(1 + plan.recursive_atoms.size());
     for (size_t s = 0; s < plan.seats.size(); ++s) {
       SeatShape& shape = plan.seats[s];
@@ -158,9 +155,8 @@ CompiledProgram::CompiledProgram(const Program& program) : program_(program) {
     }
     // Compile-time join orders, one per seat. With no instance at hand,
     // the relation-size estimate just prefers EDB atoms, which stay fixed
-    // while the IDB relations grow toward the fixpoint; BindStats /
-    // EvalOptions::stats_planner replace these with selectivity-scored
-    // orders.
+    // while the IDB relations grow toward the fixpoint; BindStats
+    // replaces these with selectivity-scored orders.
     for (size_t s = 0; s < plan.seats.size(); ++s) {
       plan.orders.push_back(PlanOrder(plan, s, nullptr, nullptr));
       plan.est_rows.emplace_back();
@@ -279,9 +275,6 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
   const auto t_start =
       timed ? std::chrono::steady_clock::now()
             : std::chrono::steady_clock::time_point{};
-  // The planner's size gate reads the input as passed; `result` takes it
-  // over and grows from there.
-  const size_t input_facts = input.num_facts();
   Instance result = std::move(input);
   const int nthreads = ResolveEvalThreads(options.num_threads);
   EvalStats run;
@@ -295,20 +288,6 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
   }
   std::vector<WorkItem>& items = scratch.items;
   std::vector<std::vector<uint32_t>>& delta = scratch.delta;
-
-  // With the stats planner on (the default), collect live stats from the
-  // evolving result and re-plan as relations grow; with the planner off —
-  // or on an input too small for planning to pay for itself — the stored
-  // orders (compile-time or BindStats) run as-is. Live statistics are
-  // recounted at each planning point (stratum entry, re-plan), so every
-  // plan reads exact counts.
-  const bool live_stats =
-      options.stats_planner && input_facts >= options.stats_min_facts;
-  // Per-seat tables exist for live planning and plan_stats; the stored
-  // orders and their kernels need none.
-  const bool use_seats = live_stats || options.plan_stats;
-  Stats live;
-  if (live_stats) live = Stats::Collect(result);
 
   // Runs work item `i` on `worker`'s frame into the item's own buffer.
   auto run_item = [&](size_t i, int worker) {
@@ -360,111 +339,46 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
     return added;
   };
 
-  // Recounts the live statistics of those `preds` that grew since they
-  // were last counted. `result` only ever grows, so an unchanged row count
-  // means an unchanged relation and its counts are still exact.
-  auto recount = [&](const std::vector<PredId>& preds, StratumStats* ss) {
-    std::vector<PredId> stale;
-    for (PredId p : preds) {
-      if (result.NumRows(p) != live.cardinality(p)) {
-        stale.push_back(p);
-        ss->stats_facts_counted += result.NumRows(p);
-      }
-    }
-    if (!stale.empty()) live.Refresh(result, stale);
-  };
-
-  // Preds of the previous stratum, whose live counts go stale on entry to
-  // the next one.
-  const std::vector<PredId>* prev_preds = nullptr;
-
   for (const Stratum& stratum : strata_) {
     StratumStats ss;
     const auto t0 = timed ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
     const std::vector<PredId>& stratum_preds = stratum.preds;
-    if (live_stats && prev_preds != nullptr) recount(*prev_preds, &ss);
     if (delta.size() < stratum_preds.size()) {
       delta.resize(stratum_preds.size());
     }
 
-    // The join orders this stratum runs with, when use_seats: per
-    // (plan-in-stratum, seat), seat 0 = the initial full join, seat 1 + i
-    // = recursive atom i. Planned and lowered live into `planned`/
-    // `planned_est`/`lowered`, else pointing at the stored orders and
-    // kernels, which are not copied. `actual` accumulates measured
-    // per-step rows (plan_stats only) and resets on re-plan so it always
-    // matches the order it was measured under.
-    struct SeatPlan {
-      const std::vector<uint32_t>* order = nullptr;
-      const std::vector<double>* est = nullptr;
-      const JoinKernel* kernel = nullptr;
-      std::vector<uint32_t> planned;
-      std::vector<double> planned_est;
-      JoinKernel lowered;
-      std::vector<size_t> actual;
-      size_t seedings = 0;
-    };
-    std::vector<std::vector<SeatPlan>> seats;
-    auto plan_seats = [&](bool initial) {
-      for (size_t k = 0; k < stratum.plans.size(); ++k) {
-        const RulePlan& plan = plans_[stratum.plans[k]];
-        auto& sp = seats[k];
-        if (initial) sp.resize(1 + plan.recursive_atoms.size());
-        // After round 0 the full join (seat 0) never runs again, so
-        // re-planning skips it.
-        for (size_t s = initial ? 0 : 1; s < sp.size(); ++s) {
-          if (live_stats) {
-            sp[s].planned = PlanOrder(plan, s, &live, &sp[s].planned_est);
-            sp[s].lowered = plan.Lower(s, sp[s].planned);
-            sp[s].order = &sp[s].planned;
-            sp[s].est = &sp[s].planned_est;
-            sp[s].kernel = &sp[s].lowered;
-          } else {
-            sp[s].order = &plan.orders[s];
-            sp[s].est = &plan.est_rows[s];
-            sp[s].kernel = &plan.kernels[s];
-          }
-          if (options.plan_stats) {
-            sp[s].actual.assign(sp[s].order->size(), 0);
-            sp[s].seedings = 0;
-          }
+    // Under plan_stats, one record per (plan-in-stratum, seat) — seat 0 =
+    // the initial full join, seat 1 + i = recursive atom i — whose
+    // measured counters the seat's work items fill in; `first_seat[k]` is
+    // the record of plan k's seat 0.
+    std::vector<size_t> first_seat;
+    if (options.plan_stats) {
+      for (uint32_t pi : stratum.plans) {
+        const RulePlan& plan = plans_[pi];
+        first_seat.push_back(ss.seats.size());
+        for (size_t s = 0; s < plan.seats.size(); ++s) {
+          ss.seats.push_back({pi, plan.seat_atom(s), plan.orders[s],
+                              plan.est_rows[s],
+                              std::vector<size_t>(plan.orders[s].size(), 0),
+                              0});
         }
       }
-    };
-    if (use_seats) {
-      seats.resize(stratum.plans.size());
-      plan_seats(true);
     }
 
-    // The work item firing seat `s` of the stratum's plan `k`: its kernel
-    // and counters from the seat table when there is one, else the
+    // The work item firing seat `s` of the stratum's plan `k` with its
     // stored kernel.
     auto seat_item = [&](size_t k, size_t s) {
       WorkItem w;
       w.plan = stratum.plans[k];
-      if (!use_seats) {
-        w.kernel = &plans_[w.plan].kernels[s];
-        return w;
-      }
-      SeatPlan& sp = seats[k][s];
-      w.kernel = sp.kernel;
+      w.kernel = &plans_[w.plan].kernels[s];
       if (options.plan_stats) {
-        w.step_rows = &sp.actual;
-        w.seedings = &sp.seedings;
+        JoinSeatStats& j = ss.seats[first_seat[k] + s];
+        w.step_rows = &j.actual_rows;
+        w.seedings = &j.seedings;
       }
       return w;
     };
-
-    // Cardinalities the current orders were planned under; a stratum
-    // relation doubling (or appearing) since then triggers a re-plan.
-    std::vector<std::pair<PredId, size_t>> planned_card;
-    if (live_stats) {
-      planned_card.reserve(stratum_preds.size());
-      for (PredId p : stratum_preds) {
-        planned_card.emplace_back(p, result.NumRows(p));
-      }
-    }
 
     // Initial round: every rule of the stratum joins the full current
     // result (lower strata are saturated; input IDB facts participate,
@@ -478,29 +392,6 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
     // Delta rounds: each new derivation must use a previous-round fact in
     // some recursive body atom.
     while (added > 0) {
-      if (live_stats) {
-        // A stratum relation appearing or doubling since the last plan
-        // invalidates its estimates — but below kReplanMinFacts the joins
-        // it feeds are cheaper than the re-plan itself, so let it grow.
-        constexpr size_t kReplanMinFacts = 16;
-        bool replan = false;
-        for (const auto& [p, card] : planned_card) {
-          size_t cur = result.NumRows(p);
-          if (cur != card && cur >= kReplanMinFacts &&
-              (card == 0 || cur >= 2 * card)) {
-            replan = true;
-            break;
-          }
-        }
-        if (replan) {
-          recount(stratum_preds, &ss);
-          plan_seats(false);
-          for (auto& [p, card] : planned_card) {
-            card = result.NumRows(p);
-          }
-          ++ss.replans;
-        }
-      }
       // One item per recursive seat whose predicate gained rows, seeded
       // from exactly those rows — the coordinates kernels consume
       // directly.
@@ -524,32 +415,13 @@ Instance CompiledProgram::Eval(Instance&& input, EvalStats* stats,
       ++ss.iterations;
       added = run_round(&ss, stratum_preds.size());
     }
-    if (options.plan_stats) {
-      for (size_t k = 0; k < stratum.plans.size(); ++k) {
-        const uint32_t pi = stratum.plans[k];
-        const RulePlan& plan = plans_[pi];
-        for (size_t s = 0; s < seats[k].size(); ++s) {
-          JoinSeatStats j;
-          j.rule = pi;
-          j.delta_atom = plan.seat_atom(s);
-          j.order = *seats[k][s].order;
-          j.est_rows = *seats[k][s].est;
-          j.actual_rows = std::move(seats[k][s].actual);
-          j.seedings = seats[k][s].seedings;
-          ss.seats.push_back(std::move(j));
-        }
-      }
-    }
     run.iterations += ss.iterations;
     run.facts_derived += ss.facts_derived;
     run.join_probes += ss.join_probes;
-    run.replans += ss.replans;
-    run.stats_facts_counted += ss.stats_facts_counted;
     if (timed) {
       ss.wall_seconds = SecondsSince(t0);
       run.strata.push_back(std::move(ss));
     }
-    prev_preds = &stratum_preds;
   }
   scratch.in_use = false;
   if (timed) {

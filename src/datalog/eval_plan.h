@@ -18,8 +18,9 @@
 namespace mondet {
 
 /// Evaluation knobs for CompiledProgram::Eval / FpEval. Every join runs
-/// through the compiled kernel (datalog/kernel.h) lowered from the order
-/// these options select.
+/// through a compiled kernel (datalog/kernel.h) lowered from a stored
+/// order: the EDB-first greedy order from compilation, or the order
+/// BindStats planned from its snapshot. No Eval plans or lowers.
 struct EvalOptions {
   /// Worker threads for the per-iteration rule fan-out. 0 = use the
   /// MONDET_THREADS environment variable, falling back to
@@ -27,36 +28,15 @@ struct EvalOptions {
   /// insertion order are identical for every thread count (see
   /// docs/EVALUATION.md for the determinism argument).
   int num_threads = 0;
-  /// Statistics-driven join planning (the default): score join orders by
-  /// estimated selectivity from per-predicate statistics counted live
-  /// from the evolving result, recounted and re-planned at each stratum
-  /// entry and whenever a stratum relation doubles (docs/EVALUATION.md
-  /// documents the cost model); each live-planned order is lowered to a
-  /// kernel as it is planned. When false — or when the input is below
-  /// stats_min_facts — Eval runs the stored orders and their kernels
-  /// verbatim: EDB-first greedy from compilation, or the orders BindStats
-  /// planned from its snapshot. Callers that evaluate many instances of
-  /// one fact shape bind a snapshot once and turn this off, so no Eval
-  /// plans or lowers at all.
-  bool stats_planner = true;
-  /// The planner's own cost gate: below this many input facts, live
-  /// planning cannot pay for itself, so Eval runs the stored orders. The
-  /// per-run cost — a Collect plus a SelectivityAtomOrder pass and a
-  /// kernel lowering per rule seat at every planning point — would
-  /// dominate a µs-scale eval outright (the checker's canonical-test
-  /// loops issue thousands of those), so the gate sits at 64 facts. The
-  /// gate reads the input's size as passed, before Eval takes it over.
-  /// Set to 0 to force live planning on any input (the differential and
-  /// convergence tests do).
-  size_t stats_min_facts = 64;
-  /// Record the join order each (rule, delta seat) actually ran with,
-  /// plus estimated vs. measured intermediate sizes, into
+  /// Record the join order each (rule, delta seat) ran with, plus the
+  /// bound snapshot's estimated vs. measured intermediate sizes, into
   /// StratumStats::seats. Small per-match cost; off by default.
   bool plan_stats = false;
 };
 
-/// The join order one (rule, delta-seat) pair ran with, with the planner's
-/// estimated and the measured intermediate row counts per join step.
+/// The join order one (rule, delta-seat) pair ran with — always the stored
+/// order DescribePlans reports — with the planner's estimated and the
+/// measured intermediate row counts per join step.
 /// Collected only under EvalOptions::plan_stats.
 struct JoinSeatStats {
   size_t rule = 0;
@@ -78,11 +58,6 @@ struct StratumStats {
   // Candidate rows the joins scanned: bucket sizes, every row for an
   // unbound scan, and one per fully bound (membership) step.
   size_t join_probes = 0;
-  size_t replans = 0;        // mid-stratum join-order recomputations
-  // Rows the live statistics recounted this stratum (Stats::Refresh at
-  // stratum entry and at each re-plan); the initial Collect is not
-  // included.
-  size_t stats_facts_counted = 0;
   double wall_seconds = 0;
   std::vector<JoinSeatStats> seats;  // only with EvalOptions::plan_stats
 };
@@ -99,10 +74,12 @@ struct EvalStats {
   size_t overdeleted = 0;      // DRed: provisional deletions
   size_t rederived = 0;        // DRed: provisional deletions revived
   size_t join_probes = 0;
+  /// Always 0; kept because perfbench/ reads it.
   size_t replans = 0;
   /// Always 0; kept because perfbench/ reads it.
   size_t rules_pruned = 0;
-  size_t stats_facts_counted = 0;  // sum over strata (see StratumStats)
+  /// Always 0; kept because perfbench/ reads it.
+  size_t stats_facts_counted = 0;
   double wall_seconds = 0;
   std::vector<StratumStats> strata;
 
@@ -152,11 +129,10 @@ struct MaintainResult {
 /// orderings: one for the initial full join and one per recursive body
 /// atom (the semi-naive "delta" seat). Without statistics the compile-time
 /// orders come from the shared GreedyAtomOrder heuristic (EDB atoms
-/// first); BindStats re-plans them under the selectivity cost model, and
-/// Eval by default plans from live statistics anyway (EvalOptions).
-/// Wherever an order is fixed — here, in BindStats, in Eval's live
-/// planner — it is lowered to a join kernel (datalog/kernel.h) on the
-/// spot and stored next to it, so Eval only ever runs kernels.
+/// first); BindStats re-plans them under the selectivity cost model.
+/// Orders are fixed in exactly those two places, and each is lowered to a
+/// join kernel (datalog/kernel.h) there and stored next to it; Eval runs
+/// the stored kernels as-is and never plans or lowers.
 /// Construct once and Eval many times; the per-rule plans and strata are
 /// reused across calls — and the same object serves the analyzer's plan
 /// lints (AnalysisOptions::compiled) and evaluation, so lint and run judge
@@ -168,11 +144,10 @@ class CompiledProgram {
   /// Re-plans the stored compile-time join orders under the selectivity
   /// cost model of `stats`, re-lowers their kernels, and remembers the
   /// snapshot: DescribePlans then reports estimated intermediate sizes (so
-  /// plan lints judge the plans against real numbers), and Eval with
-  /// stats_planner=false runs these stats-driven orders verbatim, planning
-  /// and lowering nothing per call. A later BindStats re-plans and
-  /// re-lowers every seat from the new snapshot. Not safe to call
-  /// while another thread is inside Eval on the same object.
+  /// plan lints judge the plans against real numbers), and every later
+  /// Eval runs these stats-driven orders verbatim. A later BindStats
+  /// re-plans and re-lowers every seat from the new snapshot. Not safe to
+  /// call while another thread is inside Eval on the same object.
   void BindStats(Stats stats);
 
   /// The snapshot from BindStats, or nullptr.
@@ -181,8 +156,10 @@ class CompiledProgram {
   }
 
   /// FPEval(Π, I) (Sec. 2): all facts of `input` plus every derivable IDB
-  /// fact, over the same elements. Deterministic for any thread count and
-  /// any statistics (plans affect order of exploration, not the result).
+  /// fact, over the same elements, joined with the stored orders.
+  /// Deterministic for any thread count; the fact set is the same under
+  /// any bound statistics (orders affect the order of exploration, not
+  /// the result).
   /// When `stats` is non-null the run's counters are accumulated into it.
   Instance Eval(const Instance& input, EvalStats* stats = nullptr,
                 const EvalOptions& options = {}) const;
@@ -246,7 +223,7 @@ class CompiledProgram {
 
  private:
   /// The fixed inputs of planning one (rule, delta-seat) pair, precomputed
-  /// at compile time so per-stratum re-planning allocates next to nothing:
+  /// at compile time so each BindStats re-plan allocates next to nothing:
   /// the body atoms to order (the delta atom excluded), their variables,
   /// and the variables the delta fact pre-binds.
   struct SeatShape {

@@ -9,6 +9,7 @@
 #include "analysis/dataflow.h"
 #include "automata/ops.h"
 #include "base/homomorphism.h"
+#include "base/stats.h"
 #include "core/mondet_check.h"
 #include "datalog/eval.h"
 #include "datalog/eval_plan.h"
@@ -70,9 +71,7 @@ std::optional<std::string> DiffEvalStats(const EvalStats& a,
                                          const EvalStats& b,
                                          const std::string& tag) {
   if (a.iterations != b.iterations || a.facts_derived != b.facts_derived ||
-      a.join_probes != b.join_probes || a.replans != b.replans ||
-      a.stats_facts_counted != b.stats_facts_counted ||
-      a.strata.size() != b.strata.size()) {
+      a.join_probes != b.join_probes || a.strata.size() != b.strata.size()) {
     return tag + ": run counters differ (" + a.Summary() + " vs " +
            b.Summary() + ")";
   }
@@ -81,8 +80,7 @@ std::optional<std::string> DiffEvalStats(const EvalStats& a,
     const StratumStats& y = b.strata[i];
     bool same = x.iterations == y.iterations &&
                 x.facts_derived == y.facts_derived &&
-                x.join_probes == y.join_probes && x.replans == y.replans &&
-                x.stats_facts_counted == y.stats_facts_counted &&
+                x.join_probes == y.join_probes &&
                 x.seats.size() == y.seats.size();
     for (size_t k = 0; same && k < x.seats.size(); ++k) {
       const JoinSeatStats& u = x.seats[k];
@@ -138,10 +136,8 @@ class EvalOracle : public Oracle {
       return Fail(c, "iterations differs across thread counts");
     }
 
-    // Move vs copy, with the planner's size gate set to exactly the input
-    // size: it opens only when read before Eval takes the input over (a
-    // moved-from instance reads 0 facts). plan_stats makes the gate
-    // visible — every executed seat carries estimates iff it planned.
+    // Move vs copy: an input handed over evaluates exactly like a copied
+    // one, executed seats (plan_stats) included.
     CompiledProgram compiled(program);
     const size_t n = inst.num_facts();
     for (int threads : {1, 4}) {
@@ -149,7 +145,6 @@ class EvalOracle : public Oracle {
       EvalOptions o;
       o.num_threads = threads;
       o.plan_stats = true;
-      o.stats_min_facts = n;
       EvalStats s_copy, s_move;
       Instance by_copy = compiled.Eval(inst, &s_copy, o);
       Instance by_move = compiled.Eval(Instance(inst), &s_move, o);
@@ -177,24 +172,16 @@ class EvalOracle : public Oracle {
       if (auto d = DiffEvalStats(s_move, s_recycled, rtag)) {
         return Fail(c, *d);
       }
-      for (const StratumStats& ss : s_move.strata) {
-        for (const JoinSeatStats& seat : ss.seats) {
-          if (!seat.order.empty() && seat.est_rows.empty()) {
-            return Fail(c, tag + ": stats gate closed on a " +
-                               std::to_string(n) + "-fact input");
-          }
-        }
-      }
     }
     return Pass();
   }
 };
 
 // --- plan-differential ------------------------------------------------------
-// Port of tests/plan_differential_test.cc: the stats-driven planner
-// agrees with the naive oracle, is deterministic across threads,
-// invariant under the planner toggle, and never executes a cross
-// product on a connected join graph.
+// Port of tests/plan_differential_test.cc: the orders BindStats plans
+// from the input's statistics agree with the naive oracle, are
+// deterministic across threads, give the fact set of the compile-time
+// orders, and never execute a cross product on a connected join graph.
 
 /// True when the rule's join graph — body atoms as nodes, edges between
 /// atoms sharing a variable — has a single component (nullary excluded).
@@ -279,16 +266,17 @@ class PlanOracle : public Oracle {
     const Program& program = *c.program;
     const Instance& inst = *c.instance;
     CompiledProgram compiled(program);
+    CompiledProgram bound(program);
+    bound.BindStats(Stats::Collect(inst));
     Instance naive = NaiveFpEval(program, inst);
 
-    // 1. Stats-driven vs the naive oracle (gate forced open: the
-    // planner, not its size gate, is under test).
+    // 1. Stats-driven (the orders BindStats planned from the input) vs
+    // the naive oracle.
     EvalOptions opt1;
     opt1.num_threads = 1;
     opt1.plan_stats = true;
-    opt1.stats_min_facts = 0;
     EvalStats stats1;
-    Instance semi1 = compiled.Eval(inst, &stats1, opt1);
+    Instance semi1 = bound.Eval(inst, &stats1, opt1);
     if (auto d = DiffSets(naive, semi1, "naive vs stats-driven 1T")) {
       return Fail(c, *d);
     }
@@ -296,15 +284,12 @@ class PlanOracle : public Oracle {
     // 2. Thread-count determinism: identical fact sequences.
     EvalOptions opt4 = opt1;
     opt4.num_threads = 4;
-    Instance semi4 = compiled.Eval(inst, nullptr, opt4);
+    Instance semi4 = bound.Eval(inst, nullptr, opt4);
     if (auto d = DiffSequences(semi1, semi4, "1T vs 4T")) return Fail(c, *d);
 
-    // 3. Planner off (compile-time EDB-first orders): same fact set.
-    EvalOptions opt_static;
-    opt_static.num_threads = 1;
-    opt_static.stats_planner = false;
-    Instance plain = compiled.Eval(inst, nullptr, opt_static);
-    if (auto d = DiffSets(naive, plain, "naive vs planner-off")) {
+    // 3. No snapshot (compile-time EDB-first orders): same fact set.
+    Instance plain = compiled.Eval(inst, nullptr, EvalOptions{1});
+    if (auto d = DiffSets(naive, plain, "naive vs compile-time orders")) {
       return Fail(c, *d);
     }
 
@@ -399,14 +384,10 @@ class MaintenanceOracle : public Oracle {
     CompiledProgram compiled(program);
     Instance base = *c.instance;  // evolves under the schedule
 
-    EvalOptions opt1;
-    opt1.num_threads = 1;
-    opt1.stats_min_facts = 0;
+    const EvalOptions opt1{1};
     // The second recompute runs at MONDET_THREADS when set (the ASan arm
     // of scripts/tier1.sh sweeps 1 and 4), else hardware concurrency.
-    EvalOptions opt4;
-    opt4.num_threads = 0;
-    opt4.stats_min_facts = 0;
+    const EvalOptions opt4{0};
 
     Instance m = compiled.Materialize(base, nullptr, opt1);
     if (auto d = DiffMaterializations(

@@ -208,15 +208,11 @@ TEST(EvalRegression, WideAtomsAndManyVariablesRunOnKernels) {
   ASSERT_EQ(naive.NumRows(*vocab->FindPredicate("L")), 25u);
 
   CompiledProgram compiled(program);
-  for (size_t min_facts : {size_t{64}, size_t{0}}) {  // stored, live orders
-    const std::string tag = "stats_min_facts=" + std::to_string(min_facts);
-    EvalOptions o1;
-    o1.num_threads = 1;
-    o1.stats_min_facts = min_facts;
-    EvalOptions o4 = o1;
-    o4.num_threads = 4;
-    const Instance r1 = compiled.Eval(inst, nullptr, o1);
-    const Instance r4 = compiled.Eval(inst, nullptr, o4);
+  for (bool bind : {false, true}) {  // compile-time, then bound orders
+    const std::string tag = bind ? "bound" : "unbound";
+    if (bind) compiled.BindStats(Stats::Collect(inst));
+    const Instance r1 = compiled.Eval(inst, nullptr, EvalOptions{1});
+    const Instance r4 = compiled.Eval(inst, nullptr, EvalOptions{4});
     ExpectSameSet(naive, r1, tag + " naive vs 1T");
     ExpectSameSequence(r1, r4, tag + " 1T vs 4T");
   }
@@ -273,13 +269,57 @@ TEST(EvalRegression, RebindingRelowersKernels) {
   }
   for (int threads : {1, 4}) {
     const std::string tag = std::to_string(threads) + "T";
-    EvalOptions o;
-    o.num_threads = threads;
-    o.stats_planner = false;
+    const EvalOptions o{threads};
     ExpectSameSequence(want, fresh_b.Eval(inst, nullptr, o),
                        tag + " bound to B");
     ExpectSameSequence(want, rebound.Eval(inst, nullptr, o),
                        tag + " re-bound from A to B");
+  }
+}
+
+TEST(EvalRegression, EvalRunsExactlyTheStoredOrders) {
+  // Every seat Eval executes runs the order (and carries the estimates)
+  // DescribePlans reports: the compile-time orders before BindStats, the
+  // bound ones after, at 1 and 4 threads. The Figure 4 row family at
+  // n = 256 is an input of hundreds of facts whose relations grow many
+  // times over during the run, so no join order may change mid-run.
+  Thm7Gadget gadget = BuildThm7();
+  DatalogQuery rewriting = InverseRulesRewriting(gadget.query, gadget.views);
+  const Instance image = gadget.views.Image(gadget.DiamondChain(256));
+  ASSERT_GT(image.num_facts(), 64u);
+  CompiledProgram compiled(rewriting.program);
+  for (bool bind : {false, true}) {
+    if (bind) compiled.BindStats(Stats::Collect(image));
+    const std::vector<CompiledProgram::JoinOrderDesc> plans =
+        compiled.DescribePlans();
+    for (int threads : {1, 4}) {
+      const std::string tag =
+          std::string(bind ? "bound " : "unbound ") + std::to_string(threads) +
+          "T";
+      EvalOptions o;
+      o.num_threads = threads;
+      o.plan_stats = true;
+      EvalStats stats;
+      const Instance fix = compiled.Eval(image, &stats, o);
+      ASSERT_GT(fix.NumRows(rewriting.goal), 0u) << tag;
+      size_t executed = 0;
+      for (const StratumStats& ss : stats.strata) {
+        for (const JoinSeatStats& seat : ss.seats) {
+          ++executed;
+          auto it = std::find_if(
+              plans.begin(), plans.end(),
+              [&](const CompiledProgram::JoinOrderDesc& d) {
+                return d.rule == seat.rule && d.delta_atom == seat.delta_atom;
+              });
+          ASSERT_NE(it, plans.end()) << tag << " rule " << seat.rule;
+          EXPECT_EQ(seat.order, it->order)
+              << tag << " rule " << seat.rule << " seat " << seat.delta_atom;
+          EXPECT_EQ(seat.est_rows, it->est_rows)
+              << tag << " rule " << seat.rule << " seat " << seat.delta_atom;
+        }
+      }
+      EXPECT_EQ(executed, plans.size()) << tag;
+    }
   }
 }
 

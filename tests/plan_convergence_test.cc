@@ -1,8 +1,9 @@
-// Regression pins for live join planning (EvalOptions::stats_planner with
-// no snapshot): on the Figure 4 row family (the long-R-rows workload of
-// bench_fig4_longrows) and on a same-generation program, the recounted
-// statistics, the re-plan points and hence every join order are fixed, so
-// the deterministic counters of a 1-thread run are pinned as numbers.
+// Regression pins for the stored join orders: on the Figure 4 row family
+// (the long-R-rows workload of bench_fig4_longrows) and on a
+// same-generation program, the compile-time orders and the orders
+// BindStats plans from the input's statistics are fixed, so the
+// deterministic counters of a 1-thread run under each are pinned as
+// numbers. A change to either planner's choice of order shows here.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/stats.h"
 #include "datalog/eval.h"
 #include "datalog/eval_plan.h"
 #include "datalog/program.h"
@@ -21,7 +23,7 @@ namespace {
 
 /// A same-generation program over a complete binary tree of `depth`
 /// levels with flat siblings: two recursive strata (Anc, then Sg) whose
-/// relations grow past the re-plan threshold several times.
+/// relations grow many times over during the run.
 struct SgFamily {
   Program program;
   Instance input;
@@ -59,45 +61,47 @@ SgFamily MakeSgFamily(int depth) {
   return {std::move(program), std::move(input)};
 }
 
-TEST(PlanConvergenceTest, LivePlanningCountersArePinned) {
-  // Live planning at one thread on two families. The numbers were recorded when the live statistics
-  // were still folded in fact by fact at every merge barrier; recounting
-  // at stratum entry and at each re-plan reads the same exact counts at
-  // the same points, so every join order — and with it every counter
-  // below — must be unchanged. Eval seats the Fig. 4 rewriting's
-  // provably dead rules like any other, so fig4/96 counts their empty
-  // round and probe too.
+TEST(PlanConvergenceTest, StoredOrderCountersArePinned) {
+  // Each family at one thread, first under the compile-time (EDB-first)
+  // orders, then under the orders BindStats plans from a snapshot of the
+  // input. Eval seats the Fig. 4 rewriting's provably dead rules like any
+  // other, so fig4/96 counts their empty round and probe too.
   Thm7Gadget gadget = BuildThm7();
   DatalogQuery rewriting = InverseRulesRewriting(gadget.query, gadget.views);
-  CompiledProgram fig4(rewriting.program);
   SgFamily sg = MakeSgFamily(7);
-  CompiledProgram sg_compiled(sg.program);
 
+  struct Counts {
+    size_t iterations, facts_derived, join_probes;
+  };
   struct Pin {
     const char* name;
-    const CompiledProgram* compiled;
+    const Program* program;
     Instance input;
-    size_t iterations, facts_derived, join_probes, replans;
+    Counts compile_time, bound;
   };
   const std::vector<Pin> pins = {
-      {"fig4/24", &fig4, gadget.views.Image(gadget.DiamondChain(24)), 36, 123,
-       244, 5},
-      {"fig4/96", &fig4, gadget.views.Image(gadget.DiamondChain(96)), 108,
-       483, 964, 7},
-      {"sg/7", &sg_compiled, sg.input, 16, 11437, 25414, 8},
+      {"fig4/24", &rewriting.program,
+       gadget.views.Image(gadget.DiamondChain(24)), {36, 123, 454},
+       {36, 123, 364}},
+      {"fig4/96", &rewriting.program,
+       gadget.views.Image(gadget.DiamondChain(96)), {108, 483, 1822},
+       {108, 483, 1444}},
+      {"sg/7", &sg.program, sg.input, {16, 11437, 26950}, {16, 11437, 26698}},
   };
   for (const Pin& pin : pins) {
-    EvalOptions options;
-    options.num_threads = 1;
-    options.stats_min_facts = 0;  // force live planning on every input
-    EvalStats stats;
-    pin.compiled->Eval(pin.input, &stats, options);
-    RecordProperty(pin.name, stats.Summary());
-    EXPECT_GT(stats.replans, 0u) << pin.name;
-    EXPECT_EQ(stats.iterations, pin.iterations) << pin.name;
-    EXPECT_EQ(stats.facts_derived, pin.facts_derived) << pin.name;
-    EXPECT_EQ(stats.join_probes, pin.join_probes) << pin.name;
-    EXPECT_EQ(stats.replans, pin.replans) << pin.name;
+    CompiledProgram compiled(*pin.program);
+    for (bool bind : {false, true}) {
+      const std::string tag =
+          std::string(pin.name) + (bind ? " bound" : " compile-time");
+      if (bind) compiled.BindStats(Stats::Collect(pin.input));
+      const Counts& want = bind ? pin.bound : pin.compile_time;
+      EvalStats stats;
+      compiled.Eval(pin.input, &stats, EvalOptions{1});
+      RecordProperty(tag, stats.Summary());
+      EXPECT_EQ(stats.iterations, want.iterations) << tag;
+      EXPECT_EQ(stats.facts_derived, want.facts_derived) << tag;
+      EXPECT_EQ(stats.join_probes, want.join_probes) << tag;
+    }
   }
 }
 

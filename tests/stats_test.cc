@@ -1,11 +1,9 @@
 // Property tests for the planner statistics (base/stats.h): collection is
 // exact (counts match a brute-force recount) on random instances, on
-// sparse high element ids, on nullary and empty predicates; Refresh after
-// growth and Refresh of a snapshot taken from another instance agree with
-// a fresh Collect; the selectivity estimates match hand calculations;
-// and planning from stale statistics still yields correct fixpoints
-// (stale stats may cost time, never correctness) with pinned fact
-// sequences.
+// sparse high element ids, on nullary and empty predicates; the
+// selectivity estimates match hand calculations; and planning from stale
+// statistics still yields correct fixpoints (stale stats may cost time,
+// never correctness) with pinned fact sequences.
 
 #include <gtest/gtest.h>
 
@@ -122,51 +120,6 @@ TEST(StatsTest, CollectCountsNullaryAndEmptyPredicates) {
   EXPECT_EQ(after.distinct(late, 1), 0u);
 }
 
-TEST(StatsTest, RefreshMatchesFreshCollect) {
-  auto vocab = SmallVocab();
-  std::vector<PredId> preds = vocab->AllPredicates();
-  for (unsigned seed = 0; seed < 20; ++seed) {
-    Instance inst = RandomInstance(vocab, preds, 5, 8, 2000 + seed);
-    Stats stats = Stats::Collect(inst);
-    // Grow the instance — new elements with higher ids than any counted
-    // so far included — and refresh only the changed predicates.
-    std::mt19937 rng(3000 + seed);
-    for (int i = 0; i < 3; ++i) inst.AddElement();
-    std::uniform_int_distribution<ElemId> elem(0, inst.num_elements() - 1);
-    PredId r = *vocab->FindPredicate("R");
-    PredId u = *vocab->FindPredicate("U");
-    for (int i = 0; i < 6; ++i) {
-      inst.AddFact(r, {elem(rng), elem(rng)});
-      inst.AddFact(u, {elem(rng)});
-    }
-    stats.Refresh(inst, {r, u});
-    ExpectExact(stats, inst, vocab, seed);
-  }
-}
-
-TEST(StatsTest, RefreshOfAStaleSnapshotOnAnotherInstance) {
-  // A snapshot of A, refreshed predicate by predicate against an
-  // unrelated instance B (different element range, different facts):
-  // the refreshed predicates count B exactly, the rest keep A's counts,
-  // and a full refresh equals Collect(B).
-  auto vocab = SmallVocab();
-  std::vector<PredId> preds = vocab->AllPredicates();
-  PredId r = *vocab->FindPredicate("R");
-  PredId t = *vocab->FindPredicate("T");
-  for (unsigned seed = 0; seed < 20; ++seed) {
-    Instance a = RandomInstance(vocab, preds, 40, 60, 9000 + seed);
-    Instance b = RandomInstance(vocab, preds, 4 + seed % 5, 10, 9500 + seed);
-    Stats stats = Stats::Collect(a);
-    stats.Refresh(b, {r});
-    EXPECT_EQ(stats.cardinality(r), BruteForce(b, r).cardinality);
-    EXPECT_EQ(stats.distinct(r, 1), BruteForce(b, r).distinct[1]);
-    EXPECT_EQ(stats.cardinality(t), BruteForce(a, t).cardinality);
-    EXPECT_EQ(stats.distinct(t, 2), BruteForce(a, t).distinct[2]);
-    stats.Refresh(b, preds);
-    ExpectExact(stats, b, vocab, seed);
-  }
-}
-
 TEST(StatsTest, EstimateMatchesHandComputed) {
   auto vocab = SmallVocab();
   Instance inst(vocab);
@@ -212,10 +165,8 @@ uint64_t SequenceDigest(const Instance& inst) {
 TEST(StatsTest, StaleStatsStillYieldCorrectFixpoints) {
   // Plan from statistics of instance A while evaluating instance B: the
   // orders may be bad, the fixpoint must be identical to the naive
-  // reference and to the default (live-stats) run. The stale snapshot is
-  // bound once (BindStats) and run with the planner off; the fact
-  // sequences are pinned to those of the per-Eval snapshot option that
-  // binding replaced, which planned the same orders from the same counts.
+  // reference and to a run planned from a fresh snapshot of B. The fact
+  // sequences of the stale runs are pinned.
   const uint64_t kStaleDigests[30] = {
       0x54881f344cc07183ull, 0x38d9c8a8948c949cull, 0x55527d318e406f85ull,
       0xb28e536cc19c009eull, 0x1c3bc2c22c9fe881ull, 0x1c4cc2fc26989504ull,
@@ -263,25 +214,21 @@ TEST(StatsTest, StaleStatsStillYieldCorrectFixpoints) {
 
     CompiledProgram compiled(program);
     compiled.BindStats(stale);
-    EvalOptions with_stale;
-    with_stale.num_threads = 1;
-    with_stale.stats_planner = false;
-    Instance got = compiled.Eval(inst, nullptr, with_stale);
+    Instance got = compiled.Eval(inst, nullptr, EvalOptions{1});
     EXPECT_EQ(SequenceDigest(got), kStaleDigests[seed]) << "seed " << seed;
     Instance naive = NaiveFpEval(program, inst);
-    EvalOptions with_live;
-    with_live.num_threads = 1;
-    with_live.stats_min_facts = 0;  // instances sit below the size gate
-    Instance live = compiled.Eval(inst, nullptr, with_live);
+    CompiledProgram fresh_bound(program);
+    fresh_bound.BindStats(Stats::Collect(inst));
+    Instance fresh = fresh_bound.Eval(inst, nullptr, EvalOptions{1});
 
     ASSERT_EQ(naive.num_facts(), got.num_facts()) << "seed " << seed;
     for (const Fact& f : naive.AllFacts()) {
       EXPECT_TRUE(got.HasFact(f)) << "seed " << seed;
     }
-    // Same fact set as the default live-stats run (the sequences may
-    // differ: join orders change the enumeration order within a round).
-    ASSERT_EQ(live.num_facts(), got.num_facts()) << "seed " << seed;
-    for (const Fact& f : live.AllFacts()) {
+    // Same fact set as the fresh-snapshot run (the sequences may differ:
+    // join orders change the enumeration order within a round).
+    ASSERT_EQ(fresh.num_facts(), got.num_facts()) << "seed " << seed;
+    for (const Fact& f : fresh.AllFacts()) {
       EXPECT_TRUE(got.HasFact(f)) << "seed " << seed;
     }
   }
